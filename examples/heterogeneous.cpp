@@ -1,5 +1,6 @@
-// Heterogeneous execution demo: the same conservative-to-primitive batch
-// staged through all three device backends, plus a dataflow-vs-bulk-sync
+// Heterogeneous execution demo: the same block stepped on the host
+// pipeline and on the simulated accelerator (HostPipeline::kDevice, same
+// compiled kernels, bitwise-identical result), plus a dataflow-vs-bulk-sync
 // comparison of the block-parallel stepping.
 //
 //   ./examples/heterogeneous [N=128] [threads=4] [steps=20]
@@ -9,15 +10,17 @@
 
 #include <cmath>
 #include <cstdio>
+#include <cstring>
+#include <memory>
+#include <string>
+#include <vector>
 
 #include "rshc/common/config.hpp"
 #include "rshc/common/timer.hpp"
-#include "rshc/device/device.hpp"
 #include "rshc/obs/obs.hpp"
 #include "rshc/parallel/thread_pool.hpp"
 #include "rshc/problems/problems.hpp"
 #include "rshc/solver/fv_solver.hpp"
-#include "rshc/solver/offload.hpp"
 
 int main(int argc, char** argv) {
   using namespace rshc;
@@ -32,16 +35,21 @@ int main(int argc, char** argv) {
   opt.bc = mesh::BoundarySpec::all(mesh::BcType::kPeriodic);
   opt.physics.eos = eos::IdealGas(4.0 / 3.0);
 
-  // Part 1: device offload of the c2p kernel batch.
-  std::printf("# Part 1: c2p offload of a %lldx%lld block per backend\n", n,
-              n);
-  std::printf("%-14s %-12s %-12s %-12s %-12s\n", "backend", "upload_s",
-              "kernel_s", "download_s", "Mzones/s");
-  for (const auto backend :
-       {device::Backend::kHostScalar, device::Backend::kHostSimd,
-        device::Backend::kAccelSim}) {
-    solver::SrhdSolver s(grid, opt);
-    s.initialize([](double x, double y, double) {
+  // Part 1: the same block stepped on the host and on the device.
+  std::printf("# Part 1: %d steps of a %lldx%lld block per pipeline\n",
+              steps, n, n);
+  std::printf("%-14s %-12s %-12s\n", "pipeline", "seconds",
+              "Mzone-upd/s");
+  const double zone_updates = static_cast<double>(n * n) *
+                              time::num_stages(opt.integrator) * steps;
+  std::vector<double> host_prim;
+  bool identical = true;
+  for (const auto pipeline :
+       {solver::HostPipeline::kBatchedSimd, solver::HostPipeline::kDevice}) {
+    auto o = opt;
+    o.pipeline = pipeline;
+    auto s = std::make_unique<solver::SrhdSolver>(grid, o);
+    s->initialize([](double x, double y, double) {
       srhd::Prim w;
       w.rho = 1.0 + 0.5 * std::sin(2 * M_PI * x) * std::cos(2 * M_PI * y);
       w.vx = 0.4;
@@ -49,16 +57,24 @@ int main(int argc, char** argv) {
       w.p = 1.0;
       return w;
     });
-    auto dev = device::make_device(backend);
-    const auto st = solver::offload_cons_to_prim(*dev, s.block(0),
-                                                 opt.physics);
-    const double total =
-        st.upload_seconds + st.kernel_seconds + st.download_seconds;
-    std::printf("%-14s %-12.4e %-12.4e %-12.4e %-12.2f\n",
-                std::string(dev->name()).c_str(), st.upload_seconds,
-                st.kernel_seconds, st.download_seconds,
-                static_cast<double>(st.zones) / total / 1e6);
+    const double dt = s->compute_dt();
+    WallTimer t;
+    for (int i = 0; i < steps; ++i) s->step(dt);
+    s->sync_from_device();  // device: drain and copy the state back
+    const double secs = t.seconds();
+    std::printf("%-14s %-12.4f %-12.2f\n",
+                std::string(solver::host_pipeline_name(pipeline)).c_str(),
+                secs, zone_updates / secs / 1e6);
+    const auto prim = s->block(0).prim().flat();
+    if (host_prim.empty()) {
+      host_prim.assign(prim.begin(), prim.end());
+    } else {
+      identical = std::memcmp(host_prim.data(), prim.data(),
+                              prim.size() * sizeof(double)) == 0;
+    }
   }
+  std::printf("# device state bitwise identical to host: %s\n",
+              identical ? "yes" : "NO");
 
   // Part 2: futurized dataflow vs bulk-synchronous stepping.
   std::printf("\n# Part 2: %d steps of a %lldx%lld run on %u workers, "

@@ -5,8 +5,14 @@
 // Runge-Kutta integrator, and recover primitives. Parametrized over a
 // Physics trait (SrhdPhysics / SrmhdPhysics).
 //
+// One pipeline body: every execution mode below runs the batched rhs /
+// update / con2prim / CFL cores of rhs_core.cpp, on the host or (with
+// HostPipeline::kDevice, step() only) as kernels on the simulated
+// accelerator. The per-pencil reference those cores are pinned against
+// bitwise lives with the tests (tests/support/pencil_reference.hpp).
+//
 // Execution modes:
-//  - step(dt)                     serial reference path
+//  - step(dt)                     serial path
 //  - step_parallel(..., bulk)     block-parallel with a barrier per phase
 //  - step_parallel(..., dataflow) futurized dataflow: per-(block,stage)
 //    exchange and compute tasks linked only by true data dependencies, no
@@ -41,29 +47,25 @@
 
 namespace rshc::solver {
 
-/// Execution strategy for the per-block hot loops (rhs, RK update,
-/// con2prim, CFL scan). All settings are bitwise identical; they
-/// reorganize data movement only, never arithmetic:
-///  - kPencil         per-pencil gather + per-zone state structs (the
-///                    reference path the other settings are checked
-///                    against)
-///  - kBatchedScalar  slab-wise plane reconstruction, tiled transpose
-///                    gathers, fused span loops; kernels::scalar TUs
-///  - kBatchedSimd    same layout, kernels::simd TUs (-O3, native arch)
-///  - kDevice         the batched cores launched as kernels on the
-///                    simulated accelerator (DeviceExec): per-block state
-///                    is device-resident across steps, only halo slabs
-///                    cross the H2D/D2H boundary, transfers overlap with
-///                    interior compute on a second stream
+/// Where the per-block hot loops (rhs, RK update, con2prim, CFL scan) run.
+/// Both settings execute the same compiled batched cores (rhs_core.cpp)
+/// and are bitwise identical:
+///  - kBatchedSimd  on the host: slab-wise plane reconstruction, tiled
+///                  transpose gathers, fused span loops over the
+///                  kernels::simd TUs (-O3, native arch)
+///  - kDevice       the same cores launched as kernels on the simulated
+///                  accelerator (DeviceExec): per-block state is
+///                  device-resident across steps, only halo slabs cross
+///                  the H2D/D2H boundary, transfers overlap with interior
+///                  compute on a second stream
 enum class HostPipeline {
-  kPencil,
-  kBatchedScalar,
   kBatchedSimd,
   kDevice,
 };
 
 [[nodiscard]] std::string_view host_pipeline_name(HostPipeline p);
-/// Parse "pencil", "batched-scalar", "batched-simd", "device".
+/// Parse "batched-simd" (alias "batched") or "device"; throws rshc::Error
+/// naming any other value.
 [[nodiscard]] HostPipeline parse_host_pipeline(std::string_view name);
 
 template <typename Physics>
@@ -153,8 +155,8 @@ class FvSolver {
   void recover_all_prims();
 
   /// Evaluate the flux-divergence RHS for every block from the current
-  /// primitives (benchmark hook: isolates the rhs phase of the selected
-  /// pipeline without stepping).
+  /// primitives (benchmark hook: isolates the host rhs phase without
+  /// stepping).
   void compute_rhs_all();
 
   /// Per-phase wall-time breakdown, accumulated on the *serial* stepping
@@ -213,7 +215,7 @@ class FvSolver {
   void set_pipeline(HostPipeline p);
 
  private:
-  struct Scratch;  // per-block pencil + batched-tile work arrays
+  struct Scratch;  // per-block batched-tile work arrays
 
   [[nodiscard]] bool overlap_active() const {
     return static_cast<bool>(overlap_begin_) &&
@@ -222,21 +224,15 @@ class FvSolver {
   }
   void exchange_block(int b);
   void compute_rhs(int b);
-  void compute_rhs_pencil(int b);
-  void compute_rhs_batched(int b);
   /// Restricted-box RHS: accumulate only zones in [lo, hi); `zero_du`
   /// clears the whole accumulator first. Bitwise equal per zone to the
   /// full-range call (see core::rhs_batched_range).
   void compute_rhs_range(int b, const std::array<int, 3>& lo,
                          const std::array<int, 3>& hi, bool zero_du);
-  void compute_rhs_pencil_range(int b, const std::array<int, 3>& lo,
-                                const std::array<int, 3>& hi);
   /// Interior-first RHS for the overlapped exchange: interior box while
   /// messages fly, then boundary boxes as overlap_finish_ reports faces.
   void compute_rhs_overlapped(int b);
   void update_block(int b, time::StageCoeffs coeffs, double dt);
-  void update_block_pencil(int b, time::StageCoeffs coeffs, double dt);
-  void update_block_batched(int b, time::StageCoeffs coeffs, double dt);
   void save_state();
   void post_step_all();
   void stage_serial(int stage, double dt);

@@ -89,12 +89,11 @@ struct SrhdPhysics {
 
   // Batched span-level kernels for the host pipeline: `u` holds kNumCons
   // SoA spans in Var order, `w` kNumPrim spans in PrimVar order, all of
-  // length n. `simd` selects the kernel translation unit; both variants
-  // are bitwise-identical to the per-zone to_prim / max_speed calls.
-  static void cons_to_prim_n(bool simd, std::size_t n, const double* const* u,
+  // length n. Bitwise-identical to the per-zone to_prim / max_speed calls.
+  static void cons_to_prim_n(std::size_t n, const double* const* u,
                              double* const* w, const Context& ctx,
                              C2PStats& stats);
-  static void max_speed_n(bool simd, std::size_t n, const double* const* w,
+  static void max_speed_n(std::size_t n, const double* const* w,
                           double* speed, const Context& ctx, int ndim);
   /// Batched limiter + Riemann solve + flux over n interfaces: `wl`/`wr`
   /// hold kNumPrim face-state rows, `f` receives kNumCons flux rows.
@@ -102,7 +101,7 @@ struct SrhdPhysics {
   /// exact Godunov solve) — the caller then falls back to the
   /// per-interface path. Bitwise identical to limit_face_state +
   /// interface_flux per zone.
-  static bool interface_flux_n(bool simd, std::size_t n, int axis,
+  static bool interface_flux_n(std::size_t n, int axis,
                                const double* const* wl,
                                const double* const* wr, double* const* f,
                                const Context& ctx);
@@ -223,12 +222,12 @@ struct SrmhdPhysics {
   }
 
   // Batched span-level kernels (see SrhdPhysics for the contract).
-  static void cons_to_prim_n(bool simd, std::size_t n, const double* const* u,
+  static void cons_to_prim_n(std::size_t n, const double* const* u,
                              double* const* w, const Context& ctx,
                              C2PStats& stats);
-  static void max_speed_n(bool simd, std::size_t n, const double* const* w,
+  static void max_speed_n(std::size_t n, const double* const* w,
                           double* speed, const Context& ctx, int ndim);
-  static bool interface_flux_n(bool simd, std::size_t n, int axis,
+  static bool interface_flux_n(std::size_t n, int axis,
                                const double* const* wl,
                                const double* const* wr, double* const* f,
                                const Context& ctx);
@@ -257,12 +256,5 @@ struct SrmhdPhysics {
   static void post_step(mesh::FieldArray& cons, mesh::FieldArray& prim,
                         const Context& ctx, double dt, double dx_min);
 };
-
-/// y[i] = (a*x[i] + b*y[i]) + c*z[i] over n entries — the RK stage
-/// combination as a physics-agnostic span kernel. `simd` selects the
-/// kernel translation unit; both variants keep the pencil path's
-/// left-associated expression shape, so the result is bitwise identical.
-void rk_combine_n(bool simd, std::size_t n, double a, const double* x,
-                  double b, double* y, double c, const double* z);
 
 }  // namespace rshc::solver

@@ -17,8 +17,6 @@ struct BatchStats {
   long long failures = 0;  ///< zones that hit the atmosphere fallback
 };
 
-enum class Variant { kScalar, kSimd };
-
 // NOLINTBEGIN(bugprone-easily-swappable-parameters) — SoA arrays by design.
 #define RSHC_DECLARE_KERNELS                                                   \
   /* prim -> cons over n zones */                                              \

@@ -1,13 +1,11 @@
 #pragma once
-// Batched SoA kernels over SRMHD zone arrays — the host-pipeline (and
-// future offload) surface mirroring rshc/srhd/kernels.hpp. Same two-TU
-// compilation scheme:
-//   kernels::scalar — baseline flags (vectorization disabled)
-//   kernels::simd   — -O3 (-march=native), loops annotated for vectorization
-// The branch-heavy per-zone work (1D-W Newton c2p, fast-speed bound) lives
-// in src/srmhd/{con2prim,state}.cpp compiled once with default flags, so
-// both variants — and the per-zone pencil path — are bitwise identical by
-// construction; the batched win is data movement, not arithmetic.
+// Batched SoA kernels over SRMHD zone arrays — the host-pipeline and
+// device-kernel surface mirroring rshc/srhd/kernels.hpp, compiled in
+// kernels_simd.cpp (-O3, -march=native). The branch-heavy per-zone work
+// (1D-W Newton c2p, fast-speed bound) lives in src/srmhd/{con2prim,state}.cpp
+// compiled once with default flags, so the batched kernels and the
+// per-zone calls are bitwise identical by construction; the batched win is
+// data movement, not arithmetic.
 
 #include <cstddef>
 
@@ -20,28 +18,25 @@ struct BatchStats {
   long long failures = 0;  ///< zones that hit the atmosphere fallback
 };
 
-// NOLINTBEGIN(bugprone-easily-swappable-parameters) — SoA arrays by design.
-#define RSHC_SRMHD_DECLARE_KERNELS                                            \
-  /* cons -> prim over n zones (B and psi pass through); returns stats */     \
-  BatchStats cons_to_prim_n(                                                  \
-      std::size_t n, const double* d, const double* sx, const double* sy,     \
-      const double* sz, const double* tau, const double* ubx,                 \
-      const double* uby, const double* ubz, const double* upsi, double* rho,  \
-      double* vx, double* vy, double* vz, double* p, double* bx, double* by,  \
-      double* bz, double* psi, double gamma, const Con2PrimOptions& opt);     \
-  /* per-zone max fast-mode speed (CFL bound) */                              \
-  void max_speed_n(std::size_t n, const double* rho, const double* vx,        \
-                   const double* vy, const double* vz, const double* p,       \
-                   const double* bx, const double* by, const double* bz,      \
-                   const double* psi, double* speed, double gamma, int ndim);
-
-namespace scalar {
-RSHC_SRMHD_DECLARE_KERNELS
-}
 namespace simd {
-RSHC_SRMHD_DECLARE_KERNELS
-}
-#undef RSHC_SRMHD_DECLARE_KERNELS
+
+// NOLINTBEGIN(bugprone-easily-swappable-parameters) — SoA arrays by design.
+/// cons -> prim over n zones (B and psi pass through); returns stats.
+BatchStats cons_to_prim_n(std::size_t n, const double* d, const double* sx,
+                          const double* sy, const double* sz,
+                          const double* tau, const double* ubx,
+                          const double* uby, const double* ubz,
+                          const double* upsi, double* rho, double* vx,
+                          double* vy, double* vz, double* p, double* bx,
+                          double* by, double* bz, double* psi, double gamma,
+                          const Con2PrimOptions& opt);
+/// Per-zone max fast-mode speed (CFL bound).
+void max_speed_n(std::size_t n, const double* rho, const double* vx,
+                 const double* vy, const double* vz, const double* p,
+                 const double* bx, const double* by, const double* bz,
+                 const double* psi, double* speed, double gamma, int ndim);
 // NOLINTEND(bugprone-easily-swappable-parameters)
+
+}  // namespace simd
 
 }  // namespace rshc::srmhd::kernels

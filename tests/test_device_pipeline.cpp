@@ -1,9 +1,10 @@
-// Device-offload vs pencil host-pipeline equivalence: HostPipeline::kDevice
-// routes the full rhs / RK update / con2prim / CFL path through
-// device::Device with persistent per-block arenas (DESIGN.md systems
-// #4/#12), and promises *bitwise* identical states to the per-pencil
-// reference — the kernels are the same compiled rhs_core bodies the host
-// batched pipelines call. This suite pins that promise across every
+// Device-offload vs per-pencil reference: HostPipeline::kDevice routes the
+// full rhs / RK update / con2prim / CFL path through device::Device with
+// persistent per-block arenas (DESIGN.md systems #4/#12), and promises
+// *bitwise* identical states to the per-pencil oracle
+// (support/pencil_reference.hpp) — the kernels are the same compiled
+// rhs_core bodies the host pipeline calls. This suite pins that promise
+// across every
 // reconstruction scheme, Riemann solver, physics system, and
 // dimensionality, plus the restricted-block constructor, multi-step
 // residency (only halo-sized payloads may cross the boundary after step
@@ -12,17 +13,20 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <chrono>
 #include <cmath>
 #include <cstring>
 #include <limits>
 #include <memory>
 #include <span>
 #include <tuple>
+#include <vector>
 
 #include "rshc/mesh/halo.hpp"
 #include "rshc/obs/obs.hpp"
 #include "rshc/problems/problems.hpp"
 #include "rshc/solver/fv_solver.hpp"
+#include "support/pencil_reference.hpp"
 
 namespace {
 
@@ -48,7 +52,7 @@ int count_bit_diffs(std::span<const double> a, std::span<const double> b) {
   return diffs;
 }
 
-/// Run `nsteps` fixed-dt steps under the pencil pipeline and under the
+/// Run `nsteps` fixed-dt steps under the per-pencil oracle and under the
 /// device pipeline, then require bitwise-equal cons and prim fields on
 /// every block, identical dt from both the host and the device-resident
 /// CFL scan, and identical con2prim health counters.
@@ -56,25 +60,25 @@ template <typename Solver, typename Ic>
 void expect_device_matches_pencil(const mesh::Grid& g,
                                   typename Solver::Options opt, const Ic& ic,
                                   int nsteps) {
-  opt.pipeline = solver::HostPipeline::kPencil;
   Solver ref(g, opt);
   ref.initialize(ic);
+  testsupport::PencilReference pencil(ref);
   opt.pipeline = solver::HostPipeline::kDevice;
   opt.accel = zero_cost();
   Solver s(g, opt);
   s.initialize(ic);
 
-  const double dt = ref.compute_dt();
+  const double dt = pencil.compute_dt();
   // Pre-residency the device solver computes dt on the host mirror.
   EXPECT_EQ(dt, s.compute_dt()) << "pre-residency compute_dt drifted";
   for (int n = 0; n < nsteps; ++n) {
-    ref.step(dt);
+    pencil.step(dt);
     s.step(dt);
   }
   ASSERT_TRUE(s.device_resident());
   // Post-step the device solver computes dt with its device-side CFL
   // kernel against the resident state.
-  EXPECT_EQ(ref.compute_dt(), s.compute_dt())
+  EXPECT_EQ(pencil.compute_dt(), s.compute_dt())
       << "device-resident compute_dt drifted";
 
   s.sync_from_device();
@@ -89,8 +93,9 @@ void expect_device_matches_pencil(const mesh::Grid& g,
               0)
         << "prim mismatch on block " << b;
   }
-  EXPECT_EQ(ref.c2p_stats().total_iterations, s.c2p_stats().total_iterations);
-  EXPECT_EQ(ref.c2p_stats().floored_zones, s.c2p_stats().floored_zones);
+  EXPECT_EQ(pencil.c2p_stats().total_iterations,
+            s.c2p_stats().total_iterations);
+  EXPECT_EQ(pencil.c2p_stats().floored_zones, s.c2p_stats().floored_zones);
 }
 
 /// SRHD workload with structure along every active axis (same as
@@ -228,12 +233,13 @@ TEST(DevicePipeline, RestrictedBlockDeviceMatchesPencil) {
     return s;
   };
 
-  auto ref = make(solver::HostPipeline::kPencil);
+  auto ref = make(solver::HostPipeline::kBatchedSimd);
+  testsupport::PencilReference pencil(*ref);
   auto s = make(solver::HostPipeline::kDevice);
-  const double dt = ref->compute_dt();
+  const double dt = pencil.compute_dt();
   EXPECT_EQ(dt, s->compute_dt());
   for (int n = 0; n < 3; ++n) {
-    ref->step(dt);
+    pencil.step(dt);
     s->step(dt);
   }
   s->sync_from_device();
@@ -247,7 +253,7 @@ TEST(DevicePipeline, RestrictedBlockDeviceMatchesPencil) {
 
 // Mid-run pipeline switching: device -> host hands authority back to the
 // host mirror (sync + residency drop), host -> device re-uploads. The
-// final state must still match a pencil-only run bit for bit.
+// final state must still match a per-pencil oracle run bit for bit.
 TEST(DevicePipeline, MidRunPipelineSwitchStaysBitwise) {
   const Case c = make_case(2);
   solver::SrhdSolver::Options opt;
@@ -258,21 +264,22 @@ TEST(DevicePipeline, MidRunPipelineSwitchStaysBitwise) {
   opt.physics.riemann = riemann::Solver::kHLLC;
   opt.blocks = c.blocks;
 
-  opt.pipeline = solver::HostPipeline::kPencil;
   solver::SrhdSolver ref(c.grid, opt);
   ref.initialize(srhd_ic);
+  testsupport::PencilReference pencil(ref);
   opt.pipeline = solver::HostPipeline::kDevice;
   opt.accel = zero_cost();
   solver::SrhdSolver s(c.grid, opt);
   s.initialize(srhd_ic);
 
-  const double dt = ref.compute_dt();
-  for (int n = 0; n < 4; ++n) ref.step(dt);
+  const double dt = pencil.compute_dt();
+  for (int n = 0; n < 4; ++n) pencil.step(dt);
 
   s.step(dt);
   s.step(dt);
   EXPECT_TRUE(s.device_resident());
-  s.set_pipeline(solver::HostPipeline::kPencil);  // syncs + drops residency
+  // Leaving the device syncs the host mirror and drops residency.
+  s.set_pipeline(solver::HostPipeline::kBatchedSimd);
   EXPECT_FALSE(s.device_resident());
   s.step(dt);  // host step against the synced mirror
   s.set_pipeline(solver::HostPipeline::kDevice);
@@ -289,6 +296,130 @@ TEST(DevicePipeline, MidRunPipelineSwitchStaysBitwise) {
               0);
   }
 }
+
+// The modeled link sits on the device pipeline's critical path: the host
+// waits for every block's rim download each RK stage before it fills
+// ghosts, so with 1 ms of modeled latency a step cannot finish in under
+// stages x 1 ms. The cost model changes timing only — the state stays
+// bitwise equal to a zero-cost run.
+TEST(DevicePipeline, ModeledTransferLatencyIsPaidPerStage) {
+  const Case c = make_case(2);
+  solver::SrhdSolver::Options opt;
+  opt.recon = recon::Method::kPLMMC;
+  opt.cfl = 0.3;
+  opt.blocks = c.blocks;
+  opt.pipeline = solver::HostPipeline::kDevice;
+  opt.accel = zero_cost();
+  solver::SrhdSolver fast(c.grid, opt);
+  fast.initialize(srhd_ic);
+  opt.accel.transfer_latency_sec = 1e-3;
+  solver::SrhdSolver slow(c.grid, opt);
+  slow.initialize(srhd_ic);
+
+  const double dt = fast.compute_dt();
+  fast.step(dt);
+  slow.step(dt);  // includes the one-off residency upload
+  fast.step(dt);
+  const auto t0 = std::chrono::steady_clock::now();
+  slow.step(dt);
+  const double seconds =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+          .count();
+  const double stages = time::num_stages(opt.integrator);
+  EXPECT_GE(seconds, stages * opt.accel.transfer_latency_sec)
+      << "a device step finished faster than its modeled rim downloads";
+
+  fast.sync_from_device();
+  slow.sync_from_device();
+  for (int b = 0; b < fast.num_blocks(); ++b) {
+    EXPECT_EQ(count_bit_diffs(fast.block(b).cons().flat(),
+                              slow.block(b).cons().flat()),
+              0);
+    EXPECT_EQ(count_bit_diffs(fast.block(b).prim().flat(),
+                              slow.block(b).prim().flat()),
+              0);
+  }
+}
+
+// Every device backend stages a block's interior conservatives, runs the
+// batched con2prim core in a launched kernel and hands back the solver's
+// own primitives bit for bit: the core is backend-agnostic, only the
+// staging differs (host backends copy in place, the accelerator through
+// its modeled link).
+class DeviceBackends : public ::testing::TestWithParam<device::Backend> {};
+
+TEST_P(DeviceBackends, BatchedConsToPrimRecoversSolverPrims) {
+  using Physics = solver::SrhdPhysics;
+  solver::SrhdSolver::Options opt;
+  opt.recon = recon::Method::kPLMMC;
+  opt.cfl = 0.3;
+  solver::SrhdSolver s(mesh::Grid::make_2d(16, 16, 0.0, 1.0, 0.0, 1.0), opt);
+  s.initialize(srhd_ic);
+  for (int n = 0; n < 3; ++n) s.step(s.compute_dt());
+  ASSERT_EQ(s.c2p_stats().floored_zones, 0);
+
+  const mesh::Block& blk = s.block(0);
+  std::array<std::vector<double>, Physics::kNumCons> u_host;
+  std::array<std::vector<double>, Physics::kNumPrim> w_ref;
+  for (int k = blk.begin(2); k < blk.end(2); ++k) {
+    for (int j = blk.begin(1); j < blk.end(1); ++j) {
+      for (int i = blk.begin(0); i < blk.end(0); ++i) {
+        for (int v = 0; v < Physics::kNumCons; ++v) {
+          u_host[static_cast<std::size_t>(v)].push_back(
+              blk.cons()(v, k, j, i));
+        }
+        for (int v = 0; v < Physics::kNumPrim; ++v) {
+          w_ref[static_cast<std::size_t>(v)].push_back(
+              blk.prim()(v, k, j, i));
+        }
+      }
+    }
+  }
+  const std::size_t n = u_host[0].size();
+  ASSERT_EQ(n, 16u * 16u);
+
+  auto dev = device::make_device(GetParam(), zero_cost());
+  std::array<device::Buffer, Physics::kNumCons> u_buf;
+  std::array<device::Buffer, Physics::kNumPrim> w_buf;
+  for (int v = 0; v < Physics::kNumCons; ++v) {
+    const auto sv = static_cast<std::size_t>(v);
+    u_buf[sv] = dev->alloc(n);
+    dev->upload_async(u_host[sv], u_buf[sv]);
+  }
+  for (auto& b : w_buf) b = dev->alloc(n);
+  solver::C2PStats stats;
+  const Physics::Context ctx = s.options().physics;
+  dev->launch(
+      [&] {
+        std::array<const double*, Physics::kNumCons> u{};
+        std::array<double*, Physics::kNumPrim> w{};
+        for (std::size_t v = 0; v < u.size(); ++v) {
+          u[v] = u_buf[v].device_view().data();
+        }
+        for (std::size_t v = 0; v < w.size(); ++v) {
+          w[v] = w_buf[v].device_view().data();
+        }
+        Physics::cons_to_prim_n(n, u.data(), w.data(), ctx, stats);
+      },
+      n);
+  std::array<std::vector<double>, Physics::kNumPrim> w_dev;
+  for (std::size_t v = 0; v < w_dev.size(); ++v) {
+    w_dev[v].resize(n);
+    dev->download_async(w_buf[v], w_dev[v]);
+  }
+  dev->synchronize();
+
+  EXPECT_EQ(stats.floored_zones, 0);
+  EXPECT_GT(stats.total_iterations, 0);
+  for (std::size_t v = 0; v < w_dev.size(); ++v) {
+    EXPECT_EQ(count_bit_diffs(w_ref[v], w_dev[v]), 0) << "prim var " << v;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Backends, DeviceBackends,
+                         ::testing::Values(device::Backend::kHostScalar,
+                                           device::Backend::kHostSimd,
+                                           device::Backend::kAccelSim));
 
 #if RSHC_OBS_ENABLED
 /// Expected D2H bytes per RK stage: every block's interior rims come down

@@ -231,7 +231,9 @@ TEST(Overlap, CountersObserveInteriorWork) {
   // accumulated; on this tiny block it may legitimately stay unregistered,
   // so only its consistency is asserted, not its presence.
   const obs::Snapshot::Entry* hidden = snap.find("comm.overlap.hidden_ms");
-  if (hidden != nullptr) EXPECT_GE(hidden->value, 0.0);
+  if (hidden != nullptr) {
+    EXPECT_GE(hidden->value, 0.0);
+  }
 }
 #endif
 

@@ -1,10 +1,11 @@
-// Pencil vs batched host-pipeline equivalence: the batched slab-wise rhs /
-// RK update / con2prim / CFL path (DESIGN.md system #12) promises *bitwise*
-// identical states to the per-pencil reference, for every reconstruction
-// scheme, Riemann solver, physics system, and dimensionality — including
-// the restricted-block (distributed per-rank) constructor. Any ulp of
-// drift here means the batched path reassociated arithmetic or reordered
-// an accumulation, which this suite exists to catch.
+// Host pipeline vs per-pencil reference: the batched slab-wise rhs / RK
+// update / con2prim / CFL path (DESIGN.md system #12) promises *bitwise*
+// identical states to the per-pencil oracle (support/pencil_reference.hpp),
+// for every reconstruction scheme, Riemann solver, physics system, and
+// dimensionality — including the restricted-block (distributed per-rank)
+// constructor. Any ulp of drift here means the batched path reassociated
+// arithmetic or reordered an accumulation, which this suite exists to
+// catch.
 
 #include <gtest/gtest.h>
 
@@ -17,6 +18,7 @@
 
 #include "rshc/problems/problems.hpp"
 #include "rshc/solver/fv_solver.hpp"
+#include "support/pencil_reference.hpp"
 
 namespace {
 
@@ -35,24 +37,23 @@ int count_bit_diffs(std::span<const double> a, std::span<const double> b) {
   return diffs;
 }
 
-/// Run `nsteps` fixed-dt steps under the pencil pipeline and under
-/// `batched`, then require bitwise-equal cons and prim fields on every
-/// block, an identical dt, and identical con2prim health counters.
+/// Run `nsteps` fixed-dt steps on the host pipeline and under the
+/// per-pencil oracle, then require bitwise-equal cons and prim fields on
+/// every block, an identical dt, and identical con2prim health counters.
 template <typename Solver, typename Ic>
-void expect_pipelines_identical(const mesh::Grid& g,
-                                typename Solver::Options opt, const Ic& ic,
-                                int nsteps, solver::HostPipeline batched) {
-  opt.pipeline = solver::HostPipeline::kPencil;
+void expect_matches_pencil(const mesh::Grid& g,
+                           const typename Solver::Options& opt, const Ic& ic,
+                           int nsteps) {
   Solver ref(g, opt);
   ref.initialize(ic);
-  opt.pipeline = batched;
+  testsupport::PencilReference pencil(ref);
   Solver s(g, opt);
   s.initialize(ic);
 
-  const double dt = ref.compute_dt();
+  const double dt = pencil.compute_dt();
   EXPECT_EQ(dt, s.compute_dt()) << "batched compute_dt drifted";
   for (int n = 0; n < nsteps; ++n) {
-    ref.step(dt);
+    pencil.step(dt);
     s.step(dt);
   }
 
@@ -67,8 +68,9 @@ void expect_pipelines_identical(const mesh::Grid& g,
               0)
         << "prim mismatch on block " << b;
   }
-  EXPECT_EQ(ref.c2p_stats().total_iterations, s.c2p_stats().total_iterations);
-  EXPECT_EQ(ref.c2p_stats().floored_zones, s.c2p_stats().floored_zones);
+  EXPECT_EQ(pencil.c2p_stats().total_iterations,
+            s.c2p_stats().total_iterations);
+  EXPECT_EQ(pencil.c2p_stats().floored_zones, s.c2p_stats().floored_zones);
 }
 
 /// SRHD workload with structure along every active axis: a shock-tube jump
@@ -136,8 +138,7 @@ TEST_P(RhsPipelineSrhd, BatchedMatchesPencilBitwise) {
                  mesh::BcType::kPeriodic};
   opt.physics.riemann = rs;
   opt.blocks = c.blocks;
-  expect_pipelines_identical<solver::SrhdSolver>(
-      c.grid, opt, srhd_ic, c.nsteps, solver::HostPipeline::kBatchedSimd);
+  expect_matches_pencil<solver::SrhdSolver>(c.grid, opt, srhd_ic, c.nsteps);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -163,8 +164,8 @@ TEST_P(RhsPipelineSrmhd, BatchedMatchesPencilBitwise) {
   opt.bc.type = {mesh::BcType::kOutflow, mesh::BcType::kPeriodic,
                  mesh::BcType::kPeriodic};
   opt.blocks = c.blocks;
-  expect_pipelines_identical<solver::SrmhdSolver>(
-      c.grid, opt, srmhd_ic, c.nsteps, solver::HostPipeline::kBatchedSimd);
+  expect_matches_pencil<solver::SrmhdSolver>(c.grid, opt, srmhd_ic,
+                                             c.nsteps);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -175,37 +176,35 @@ INSTANTIATE_TEST_SUITE_P(
                           recon::Method::kPLMMC, recon::Method::kPLMVanLeer,
                           recon::Method::kPPM, recon::Method::kWENO5)));
 
-// The scalar batched variant must hit the same bits as well — it routes
-// through the kernels::scalar TUs instead of kernels::simd.
-TEST(RhsPipeline, BatchedScalarMatchesPencilBitwiseSrhd) {
+// Reflecting walls are the ghost fill the matrix above leaves out: mirrored
+// ghosts with the normal velocity (and, for SRMHD, the normal field)
+// negated, on every face of the grid.
+TEST(RhsPipeline, ReflectingWallsBatchedMatchesPencilSrhd) {
   const Case c = make_case(2);
   solver::SrhdSolver::Options opt;
-  opt.recon = recon::Method::kWENO5;
+  opt.recon = recon::Method::kPPM;
   opt.cfl = 0.3;
-  opt.bc.type = {mesh::BcType::kOutflow, mesh::BcType::kPeriodic,
-                 mesh::BcType::kPeriodic};
+  opt.bc = mesh::BoundarySpec::all(mesh::BcType::kReflect);
   opt.physics.riemann = riemann::Solver::kHLLC;
   opt.blocks = c.blocks;
-  expect_pipelines_identical<solver::SrhdSolver>(
-      c.grid, opt, srhd_ic, c.nsteps, solver::HostPipeline::kBatchedScalar);
+  expect_matches_pencil<solver::SrhdSolver>(c.grid, opt, srhd_ic, c.nsteps);
 }
 
-TEST(RhsPipeline, BatchedScalarMatchesPencilBitwiseSrmhd) {
-  const Case c = make_case(2);
+TEST(RhsPipeline, ReflectingWallsBatchedMatchesPencilSrmhd) {
+  const Case c = make_case(3);
   solver::SrmhdSolver::Options opt;
-  opt.recon = recon::Method::kPLMMC;
+  opt.recon = recon::Method::kWENO5;
   opt.cfl = 0.25;
-  opt.bc.type = {mesh::BcType::kOutflow, mesh::BcType::kPeriodic,
-                 mesh::BcType::kPeriodic};
+  opt.bc = mesh::BoundarySpec::all(mesh::BcType::kReflect);
   opt.blocks = c.blocks;
-  expect_pipelines_identical<solver::SrmhdSolver>(
-      c.grid, opt, srmhd_ic, c.nsteps, solver::HostPipeline::kBatchedScalar);
+  expect_matches_pencil<solver::SrmhdSolver>(c.grid, opt, srmhd_ic,
+                                             c.nsteps);
 }
 
 // Restricted-block construction (the distributed driver's per-rank view)
 // must flow through the batched pipeline too. Both solvers own a single
 // block covering the full grid and fill ghosts through the same manual
-// physical-boundary filler.
+// physical-boundary filler; the oracle drives one of them.
 TEST(RhsPipeline, RestrictedBlockBatchedMatchesPencil) {
   const mesh::Grid g = mesh::Grid::make_2d(20, 12, 0.0, 1.0, 0.0, 1.0);
   const mesh::BlockExtents sub{{0, 0, 0}, {20, 12, 1}};
@@ -215,8 +214,7 @@ TEST(RhsPipeline, RestrictedBlockBatchedMatchesPencil) {
   opt.bc = mesh::BoundarySpec::all(mesh::BcType::kOutflow);
   opt.physics.riemann = riemann::Solver::kHLL;
 
-  auto make = [&](solver::HostPipeline p) {
-    opt.pipeline = p;
+  auto make = [&] {
     auto s = std::make_unique<solver::SrhdSolver>(g, opt, sub);
     solver::SrhdSolver* raw = s.get();
     s->set_ghost_filler([raw](int) {
@@ -233,12 +231,13 @@ TEST(RhsPipeline, RestrictedBlockBatchedMatchesPencil) {
     return s;
   };
 
-  auto ref = make(solver::HostPipeline::kPencil);
-  auto s = make(solver::HostPipeline::kBatchedSimd);
-  const double dt = ref->compute_dt();
+  auto ref = make();
+  testsupport::PencilReference pencil(*ref);
+  auto s = make();
+  const double dt = pencil.compute_dt();
   EXPECT_EQ(dt, s->compute_dt());
   for (int n = 0; n < 3; ++n) {
-    ref->step(dt);
+    pencil.step(dt);
     s->step(dt);
   }
   EXPECT_EQ(

@@ -13,6 +13,7 @@
 #include "rshc/analysis/norms.hpp"
 #include "rshc/problems/problems.hpp"
 #include "rshc/solver/fv_solver.hpp"
+#include "support/pencil_reference.hpp"
 
 namespace {
 
@@ -60,16 +61,15 @@ TEST_P(SchemeMatrix, SodTubeStaysPhysicalAndAccurate) {
   EXPECT_LT(analysis::l1_error(rho, ref), 0.08);
   EXPECT_EQ(s.c2p_stats().floored_zones, 0);
 
-  // The run above used the default batched pipeline. Replaying it on the
-  // per-pencil reference path (adaptive dt and all) must land on the exact
-  // same bits — the batched pipeline's core contract, checked here across
-  // the full scheme matrix on a complete shock-tube evolution.
-  opt.pipeline = solver::HostPipeline::kPencil;
-  solver::SrhdSolver pencil(g, opt);
-  pencil.initialize(problems::shock_tube_ic(st));
-  pencil.advance_to(st.t_final);
-  const auto rho_p = pencil.gather_prim_var(srhd::kRho);
-  const auto p_p = pencil.gather_prim_var(srhd::kP);
+  // The run above used the batched host pipeline. Replaying it under the
+  // per-pencil oracle (adaptive dt and all) must land on the exact same
+  // bits — the batched pipeline's core contract, checked here across the
+  // full scheme matrix on a complete shock-tube evolution.
+  solver::SrhdSolver replay(g, opt);
+  replay.initialize(problems::shock_tube_ic(st));
+  testsupport::PencilReference(replay).advance_to(st.t_final);
+  const auto rho_p = replay.gather_prim_var(srhd::kRho);
+  const auto p_p = replay.gather_prim_var(srhd::kP);
   int diffs = 0;
   for (std::size_t i = 0; i < rho.size(); ++i) {
     if (std::memcmp(&rho[i], &rho_p[i], sizeof(double)) != 0 ||

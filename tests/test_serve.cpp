@@ -205,7 +205,6 @@ void run_reference(serve::JobSpec spec, const std::string& out) {
 
 void expect_bitwise_resume(serve::PhysicsKind physics,
                            const std::string& problem,
-                           solver::HostPipeline pipeline,
                            const std::string& tag) {
   serve::JobSpec spec;
   spec.name = "resume_" + tag;
@@ -213,7 +212,6 @@ void expect_bitwise_resume(serve::PhysicsKind physics,
   spec.problem = problem;
   spec.resolution = 64;
   spec.steps = 12;
-  spec.pipeline = pipeline;
 
   const std::string ref_path = temp_path("ref_" + tag + ".ckpt");
   run_reference(spec, ref_path);
@@ -241,24 +239,23 @@ void expect_bitwise_resume(serve::PhysicsKind physics,
       << tag << ")";
 }
 
-TEST(ServePreemptResume, BitwiseIdenticalSrhdPencil) {
-  expect_bitwise_resume(serve::PhysicsKind::kSrhd, "sod",
-                        solver::HostPipeline::kPencil, "srhd_pencil");
-}
-
 TEST(ServePreemptResume, BitwiseIdenticalSrhdBatched) {
-  expect_bitwise_resume(serve::PhysicsKind::kSrhd, "sod",
-                        solver::HostPipeline::kBatchedSimd, "srhd_batched");
-}
-
-TEST(ServePreemptResume, BitwiseIdenticalSrmhdPencil) {
-  expect_bitwise_resume(serve::PhysicsKind::kSrmhd, "balsara1",
-                        solver::HostPipeline::kPencil, "srmhd_pencil");
+  expect_bitwise_resume(serve::PhysicsKind::kSrhd, "sod", "srhd_batched");
 }
 
 TEST(ServePreemptResume, BitwiseIdenticalSrmhdBatched) {
   expect_bitwise_resume(serve::PhysicsKind::kSrmhd, "balsara1",
-                        solver::HostPipeline::kBatchedSimd, "srmhd_batched");
+                        "srmhd_batched");
+}
+
+// Two-dimensional jobs checkpoint and restore both grid axes.
+TEST(ServePreemptResume, BitwiseIdenticalSrhd2d) {
+  expect_bitwise_resume(serve::PhysicsKind::kSrhd, "kh", "srhd_2d");
+}
+
+TEST(ServePreemptResume, BitwiseIdenticalSrmhd2d) {
+  expect_bitwise_resume(serve::PhysicsKind::kSrmhd, "field_loop",
+                        "srmhd_2d");
 }
 
 TEST(ServePreemptResume, HighPrioritySubmissionEvictsBatchJob) {

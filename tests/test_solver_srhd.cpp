@@ -5,10 +5,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
 #include "rshc/analysis/exact_riemann.hpp"
 #include "rshc/common/math.hpp"
 #include "rshc/analysis/norms.hpp"
+#include "rshc/common/error.hpp"
 #include "rshc/parallel/thread_pool.hpp"
 #include "rshc/problems/problems.hpp"
 #include "rshc/solver/fv_solver.hpp"
@@ -25,6 +27,25 @@ SrhdSolver::Options periodic_opts() {
   opt.bc = mesh::BoundarySpec::all(mesh::BcType::kPeriodic);
   opt.physics.eos = eos::IdealGas(5.0 / 3.0);
   return opt;
+}
+
+// The host exposes one pipeline plus the device: the retired pencil and
+// batched-scalar names must fail loudly (naming the value), not fall back.
+TEST(HostPipelineNames, RejectsRetiredNamesAndRoundTripsTheRest) {
+  for (const char* retired : {"pencil", "batched-scalar"}) {
+    try {
+      (void)solver::parse_host_pipeline(retired);
+      ADD_FAILURE() << "parse_host_pipeline accepted '" << retired << "'";
+    } catch (const Error& e) {
+      const std::string quoted = "'" + std::string(retired) + "'";
+      EXPECT_NE(std::string(e.what()).find(quoted), std::string::npos)
+          << e.what();
+    }
+  }
+  for (const auto p :
+       {solver::HostPipeline::kBatchedSimd, solver::HostPipeline::kDevice}) {
+    EXPECT_EQ(solver::parse_host_pipeline(solver::host_pipeline_name(p)), p);
+  }
 }
 
 TEST(SrhdSolver, StaticGasStaysStatic) {

@@ -577,7 +577,7 @@ def selftest() -> int:
          "command": f"{gxx} -c kernels_simd.cpp"},                 # seeded
         {"file": "/r/src/riemann/faces_simd.cpp",
          "command": f"{gxx} -ffp-contract=off -ffast-math -c f.cpp"},  # seeded
-        {"file": "/r/src/srmhd/kernels_scalar.cpp",
+        {"file": "/r/src/srmhd/kernels_simd.cpp",
          "command": f"{gxx} -ffp-contract=off -c k.cpp"},
         {"file": "/r/src/solver/rhs_core.cpp",
          "arguments": ["c++", "-ffp-contract=off", "-c", "rhs_core.cpp"]},
