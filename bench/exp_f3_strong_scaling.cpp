@@ -1,6 +1,7 @@
 // Experiment F3 — strong scaling (figure).
 // Fixed 128^2 problem split into 4x4 blocks; worker count sweeps 1..8 for
-// both execution models (bulk-synchronous vs futurized dataflow).
+// both schedules of the step graph (bulk-synchronous barrier nodes vs
+// futurized dataflow).
 //
 // Expected shape (on a many-core host): time/step drops with workers,
 // dataflow >= bulk-sync throughput with the gap widening as barriers
@@ -32,20 +33,18 @@ int main() {
                   "(host has 1 hardware core; see EXPERIMENTS.md)");
 
   const double zones_per_step = static_cast<double>(kN * kN) * 3.0;  // RK3
-  for (const bool dataflow : {false, true}) {
+  for (const auto schedule :
+       {solver::Schedule::kBulkSync, solver::Schedule::kDataflow}) {
+    const bool dataflow = schedule == solver::Schedule::kDataflow;
     double t1 = 0.0;
     for (const unsigned w : workers) {
       solver::SrhdSolver s(grid, opt);
       s.initialize(problems::kelvin_helmholtz_ic({}));
       parallel::ThreadPool pool(w);
       // Warm-up step excluded from timing.
-      s.step_parallel(dt, pool, dataflow);
+      s.run_steps(1, dt, pool, schedule);
       WallTimer t;
-      if (dataflow) {
-        s.run_steps_dataflow(kSteps, dt, pool);
-      } else {
-        s.run_steps_bulksync(kSteps, dt, pool);
-      }
+      s.run_steps(kSteps, dt, pool, schedule);
       const double per_step = t.seconds() / kSteps;
       if (w == 1) t1 = per_step;
       table.add_row({std::string(dataflow ? "dataflow" : "bulk-sync"),

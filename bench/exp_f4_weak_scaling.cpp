@@ -21,7 +21,9 @@ int main() {
   table.set_title("F4: weak scaling, 64^2 zones per worker "
                   "(1-core host; see EXPERIMENTS.md)");
 
-  for (const bool dataflow : {false, true}) {
+  for (const auto schedule :
+       {solver::Schedule::kBulkSync, solver::Schedule::kDataflow}) {
+    const bool dataflow = schedule == solver::Schedule::kDataflow;
     double t1 = 0.0;
     for (const unsigned w : workers) {
       const long long nx = kPerWorker * w;
@@ -37,13 +39,9 @@ int main() {
       s.initialize(problems::kelvin_helmholtz_ic({}));
       parallel::ThreadPool pool(w);
       const double dt = 0.1 / static_cast<double>(kPerWorker);
-      s.step_parallel(dt, pool, dataflow);  // warm-up
+      s.run_steps(1, dt, pool, schedule);  // warm-up
       WallTimer t;
-      if (dataflow) {
-        s.run_steps_dataflow(kSteps, dt, pool);
-      } else {
-        s.run_steps_bulksync(kSteps, dt, pool);
-      }
+      s.run_steps(kSteps, dt, pool, schedule);
       const double per_step = t.seconds() / kSteps;
       if (w == 1) t1 = per_step;
       table.add_row({std::string(dataflow ? "dataflow" : "bulk-sync"),

@@ -39,20 +39,16 @@ int main() {
     const double dt = 0.1 / static_cast<double>(kN);
     parallel::ThreadPool pool(2);
 
-    auto run = [&](bool dataflow) {
+    auto run = [&](solver::Schedule schedule) {
       solver::SrhdSolver s(grid, opt);
       s.initialize(problems::kelvin_helmholtz_ic({}));
-      s.step_parallel(dt, pool, dataflow);  // warm-up
+      s.run_steps(1, dt, pool, schedule);  // warm-up
       WallTimer t;
-      if (dataflow) {
-        s.run_steps_dataflow(kSteps, dt, pool);
-      } else {
-        s.run_steps_bulksync(kSteps, dt, pool);
-      }
+      s.run_steps(kSteps, dt, pool, schedule);
       return t.seconds() / kSteps;
     };
-    const double bulk = run(false);
-    const double flow = run(true);
+    const double bulk = run(solver::Schedule::kBulkSync);
+    const double flow = run(solver::Schedule::kDataflow);
     a.add_row({static_cast<long long>(nb * nb), bulk, flow, bulk / flow});
   }
   bench::emit(a, "f6a_overlap_blocks");

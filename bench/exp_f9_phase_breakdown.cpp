@@ -36,34 +36,27 @@ RegistryPhases read_registry_phases() {
   return p;
 }
 
-/// Run the measured loop and report its phase split. With the obs layer
-/// compiled in, the breakdown comes from the metrics registry; otherwise
-/// fall back to the solver's built-in wall timers.
+/// Run the measured loop and report its phase split from the registry.
 template <typename Solver>
-auto measure_phases(Solver& s, int nsteps) {
+RegistryPhases measure_phases(Solver& s, int nsteps) {
   s.step(s.compute_dt());  // warm-up outside the measurement
-  s.reset_phase_times();
-#if RSHC_OBS_ENABLED
   rshc::obs::Registry::global().reset();
   for (int i = 0; i < nsteps; ++i) s.step(s.compute_dt());
-  RegistryPhases p = read_registry_phases();
-  if (p.total() <= 0.0) {
-    // Runtime-disabled (RSHC_OBS=0): the registry saw nothing — use the
-    // solver's built-in wall timers instead of dividing by zero.
-    const auto& w = s.phase_times();
-    p = {w.exchange, w.rhs, w.update, w.other};
-  }
-  return p;
-#else
-  for (int i = 0; i < nsteps; ++i) s.step(s.compute_dt());
-  return s.phase_times();
-#endif
+  return read_registry_phases();
 }
 
 }  // namespace
 
 int main() {
   using namespace rshc;
+  if (!RSHC_OBS_ENABLED || !obs::enabled()) {
+    std::cerr << "F9: the phase breakdown is read from the obs metrics "
+                 "registry, which "
+              << (RSHC_OBS_ENABLED ? "is disabled at runtime (RSHC_OBS=0)"
+                                   : "is compiled out (RSHC_OBS=OFF)")
+              << "; nothing to report\n";
+    return 1;
+  }
   constexpr long long kN = 96;
   constexpr int kSteps = 10;
 

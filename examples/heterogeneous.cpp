@@ -1,7 +1,7 @@
 // Heterogeneous execution demo: the same block stepped on the host
 // pipeline and on the simulated accelerator (HostPipeline::kDevice, same
 // compiled kernels, bitwise-identical result), plus a dataflow-vs-bulk-sync
-// comparison of the block-parallel stepping.
+// comparison of the two pool schedules of the block task graph.
 //
 //   ./examples/heterogeneous [N=128] [threads=4] [steps=20]
 //
@@ -92,12 +92,12 @@ int main(int argc, char** argv) {
 
   auto bulk = make_solver();
   WallTimer t1;
-  bulk->run_steps_bulksync(steps, dt, pool);
+  bulk->run_steps(steps, dt, pool, solver::Schedule::kBulkSync);
   const double t_bulk = t1.seconds();
 
   auto flow = make_solver();
   WallTimer t2;
-  flow->run_steps_dataflow(steps, dt, pool);
+  flow->run_steps(steps, dt, pool, solver::Schedule::kDataflow);
   const double t_flow = t2.seconds();
 
   std::printf("%-14s %-12s %-12s\n", "mode", "seconds", "steps/s");

@@ -3,9 +3,11 @@
 // (DESIGN.md substitution for the HPX runtime). Solvers build one node per
 // (block, stage) with edges from the neighbour blocks' previous stage, then
 // run() executes the whole step with no intra-step global barrier: a block
-// advances as soon as its own halo dependencies are met.
+// advances as soon as its own halo dependencies are met. run_inline()
+// executes the same graph on the calling thread in creation order (the
+// serial schedule).
 //
-// A graph is built once and can be run() repeatedly (structure is immutable
+// A graph is built once and can be run repeatedly (structure is immutable
 // after the first run; per-run scheduling state is reset internally).
 
 #include <atomic>
@@ -48,6 +50,12 @@ class TaskGraph {
   /// status fields, not exceptions, so this only matters for test hooks).
   void run(ThreadPool& pool) RSHC_EXCLUDES(error_mutex_);
 
+  /// Execute all nodes on the calling thread in creation order (a
+  /// topological order: add() only accepts earlier dependencies). The
+  /// first exception stops the run — no later node fires — and is
+  /// rethrown.
+  void run_inline();
+
  private:
   struct Node {
     std::function<void()> fn;
@@ -64,6 +72,8 @@ class TaskGraph {
 #endif
   };
 
+  /// Run node `id` and count it finished; returns its exception, if any.
+  std::exception_ptr fire(NodeId id);
   void finish_node(ThreadPool& pool, NodeId id) RSHC_EXCLUDES(error_mutex_);
   void release_dependents(ThreadPool& pool, NodeId id);
 
@@ -98,7 +108,7 @@ inline std::atomic<long long>& graph_finished_counter() noexcept {
   return finished;
 }
 
-/// Nodes scheduled by a run() that has not observed their completion yet.
+/// Nodes scheduled by a run that has not observed their completion yet.
 [[nodiscard]] inline long long pending_graph_nodes() noexcept {
   return graph_pending_counter().load(std::memory_order_relaxed);
 }

@@ -11,17 +11,21 @@
 // accelerator. The per-pencil reference those cores are pinned against
 // bitwise lives with the tests (tests/support/pencil_reference.hpp).
 //
-// Execution modes:
-//  - step(dt)                     serial path
-//  - step_parallel(..., bulk)     block-parallel with a barrier per phase
-//  - step_parallel(..., dataflow) futurized dataflow: per-(block,stage)
-//    exchange and compute tasks linked only by true data dependencies, no
-//    global barrier inside a step
-//  - run_steps_dataflow(n, dt)    one task graph spanning n whole steps —
-//    no barrier *between* steps either (the heterogeneous-runtime payoff
-//    measured in F3/F6)
+// One stepping engine: every host step runs the same per-(block, stage)
+// task graph (E = exchange+BC, K = rhs+update+c2p; the RK state save rides
+// in the first E of a step, Physics::post_step in the last K):
+//  - step(dt)                          one-step graph run inline on the
+//                                      calling thread (serial schedule)
+//  - run_steps(n, dt, pool)            one graph spanning n whole steps on
+//                                      the pool, linked only by true data
+//                                      dependencies: no global barrier
+//                                      inside or between steps
+//  - run_steps(n, dt, pool, kBulkSync) the same graph with a no-op barrier
+//                                      node between phases (the F3/F4/F6
+//                                      baseline)
+//  - advance_to(t)                     adaptive-dt step() loop
 //
-// Per-step dependency structure (E = exchange+BC, K = rhs+update+c2p):
+// Dataflow dependency structure:
 //   E(b,s) <- K(b,s-1), K(nbr,s-1)   (needs stage s-1 prims of b and nbrs)
 //   K(b,s) <- E(b,s), E(nbr,s)       (E(nbr,s) read b's prims: anti-dep)
 
@@ -68,6 +72,16 @@ enum class HostPipeline {
 /// naming any other value.
 [[nodiscard]] HostPipeline parse_host_pipeline(std::string_view name);
 
+/// How run_steps schedules the step graph on the pool:
+///  - kDataflow  a node waits only for its own block and its neighbours
+///               in the previous phase
+///  - kBulkSync  a node waits for a barrier node that waits for the whole
+///               previous phase (all E -> barrier -> all K -> barrier ...)
+enum class Schedule {
+  kDataflow,
+  kBulkSync,
+};
+
 template <typename Physics>
 class DeviceExec;
 
@@ -108,16 +122,14 @@ class FvSolver {
   /// CFL-limited time step from the current state.
   [[nodiscard]] double compute_dt() const;
 
-  /// One time step (serial reference path).
+  /// One time step on the calling thread. Throws before touching the
+  /// state (cons, prims, time) if the first exchange fails.
   void step(double dt);
 
-  /// One time step on `pool`; dataflow=false uses bulk-synchronous phases.
-  void step_parallel(double dt, parallel::ThreadPool& pool, bool dataflow);
-
-  /// `nsteps` fixed-dt steps as one dependency graph (no barriers at all).
-  void run_steps_dataflow(int nsteps, double dt, parallel::ThreadPool& pool);
-  /// Baseline for the same workload: barrier per phase, per stage, per step.
-  void run_steps_bulksync(int nsteps, double dt, parallel::ThreadPool& pool);
+  /// `nsteps` fixed-dt steps as one task graph on `pool` (host pipeline
+  /// only); bitwise identical to `nsteps` step() calls.
+  void run_steps(int nsteps, double dt, parallel::ThreadPool& pool,
+                 Schedule schedule = Schedule::kDataflow);
 
   /// Advance to t_end with adaptive dt (serial); returns steps taken.
   int advance_to(double t_end, int max_steps = 1000000);
@@ -158,21 +170,6 @@ class FvSolver {
   /// primitives (benchmark hook: isolates the host rhs phase without
   /// stepping).
   void compute_rhs_all();
-
-  /// Per-phase wall-time breakdown, accumulated on the *serial* stepping
-  /// path only (experiment F9). Parallel paths skip the timers to avoid
-  /// cross-thread races.
-  struct PhaseTimes {
-    double exchange = 0.0;  ///< halo copies + boundary conditions
-    double rhs = 0.0;       ///< reconstruction + Riemann + flux differencing
-    double update = 0.0;    ///< RK combination + con2prim
-    double other = 0.0;     ///< state save, psi damping, bookkeeping
-    [[nodiscard]] double total() const {
-      return exchange + rhs + update + other;
-    }
-  };
-  [[nodiscard]] const PhaseTimes& phase_times() const { return phases_; }
-  void reset_phase_times() { phases_ = {}; }
 
   /// Replace the default shared-memory ghost fill for block `b` with a
   /// custom routine — the hook the distributed (message-passing) driver
@@ -217,6 +214,9 @@ class FvSolver {
  private:
   struct Scratch;  // per-block batched-tile work arrays
 
+  /// Append block storage (state, RK arrays, scratch, stats) for `extents`.
+  void add_block(const mesh::BlockExtents& extents);
+
   [[nodiscard]] bool overlap_active() const {
     return static_cast<bool>(overlap_begin_) &&
            static_cast<bool>(overlap_finish_) &&
@@ -233,11 +233,11 @@ class FvSolver {
   /// messages fly, then boundary boxes as overlap_finish_ reports faces.
   void compute_rhs_overlapped(int b);
   void update_block(int b, time::StageCoeffs coeffs, double dt);
-  void save_state();
-  void post_step_all();
-  void stage_serial(int stage, double dt);
   void step_device(double dt);
-  parallel::TaskGraph& step_graph(int nsteps);
+  parallel::TaskGraph& step_graph(int nsteps, Schedule schedule);
+  /// Shared tail of every stepping entry point: fold the per-block c2p
+  /// stats, advance the clock and publish one telemetry heartbeat.
+  void finish_steps(int nsteps, double dt, double seconds);
 
   mesh::Grid grid_;
   Options opt_;
@@ -257,16 +257,16 @@ class FvSolver {
   double time_ = 0.0;
   double current_dt_ = 0.0;
   long long steps_taken_ = 0;
-  PhaseTimes phases_;
 
   // Lazily constructed on the first kDevice step; owns the per-block
   // device arenas (see device_exec.hpp).
   std::unique_ptr<DeviceExec<Physics>> device_;
 
-  // Cached dataflow graphs keyed by step count (and overlap mode — the
-  // node bodies differ when the exchange is futurized).
+  // The last step graph built, keyed by step count, schedule and overlap
+  // mode (the node bodies differ when the exchange is futurized).
   std::unique_ptr<parallel::TaskGraph> graph_;
   int graph_steps_ = 0;
+  Schedule graph_schedule_ = Schedule::kDataflow;
   bool graph_overlap_ = false;
 };
 

@@ -5,11 +5,14 @@
 #if RSHC_OBS_ENABLED
 
 #include <algorithm>
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 
 #include "rshc/comm/communicator.hpp"
+#include "rshc/common/error.hpp"
 #include "rshc/obs/journal.hpp"
 #include "rshc/obs/trace.hpp"
 #include "rshc/parallel/task_graph.hpp"
@@ -19,10 +22,18 @@ namespace rshc::obs::telemetry {
 
 namespace {
 
+// Unset or empty -> fallback; anything but a whole int throws rshc::Error
+// naming the variable (a silently truncated "5s" or "abc" would turn a
+// watchdog timeout into 5 ms or 1 ms).
 int env_int(const char* name, int fallback) {
   const char* v = std::getenv(name);
   if (v == nullptr || *v == '\0') return fallback;
-  return std::atoi(v);
+  int x = 0;
+  const char* end = v + std::strlen(v);
+  const auto [ptr, ec] = std::from_chars(v, end, x);
+  RSHC_REQUIRE(ec == std::errc() && ptr == end,
+               std::string(name) + "='" + v + "' is not an integer");
+  return x;
 }
 
 bool env_off(const char* name) {

@@ -19,22 +19,30 @@ TaskGraph::NodeId TaskGraph::add(std::function<void()> fn,
   return id;
 }
 
+std::exception_ptr TaskGraph::fire(NodeId id) {
+  std::exception_ptr error;
+  try {
+    RSHC_TRACE_SCOPE("graph.node", "graph", static_cast<std::int64_t>(id));
+    nodes_[id].fn();
+  } catch (...) {
+    error = std::current_exception();
+  }
+  RSHC_OBS_COUNT("graph.nodes_run", 1);
+  introspect::graph_finished_counter().fetch_add(1, std::memory_order_relaxed);
+  introspect::graph_pending_counter().fetch_sub(1, std::memory_order_relaxed);
+  return error;
+}
+
 void TaskGraph::finish_node(ThreadPool& pool, NodeId id) {
 #if RSHC_CHECKS_ENABLED
   RSHC_CHECK("graph",
              nodes_[id].fired.fetch_add(1, std::memory_order_relaxed) == 0,
              "task graph node fired more than once in a run");
 #endif
-  try {
-    RSHC_TRACE_SCOPE("graph.node", "graph", static_cast<std::int64_t>(id));
-    nodes_[id].fn();
-  } catch (...) {
+  if (std::exception_ptr error = fire(id)) {
     LockGuard lock(error_mutex_);
-    if (!error_) error_ = std::current_exception();
+    if (!error_) error_ = std::move(error);
   }
-  RSHC_OBS_COUNT("graph.nodes_run", 1);
-  introspect::graph_finished_counter().fetch_add(1, std::memory_order_relaxed);
-  introspect::graph_pending_counter().fetch_sub(1, std::memory_order_relaxed);
   release_dependents(pool, id);
   if (remaining_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
     done_.set_value();
@@ -90,6 +98,19 @@ void TaskGraph::run(ThreadPool& pool) {
   // guarded-by contract (one uncontended lock per run).
   LockGuard lock(error_mutex_);
   if (error_) std::rethrow_exception(error_);
+}
+
+void TaskGraph::run_inline() {
+  const auto n = static_cast<long long>(nodes_.size());
+  introspect::graph_pending_counter().fetch_add(n, std::memory_order_relaxed);
+  for (NodeId id = 0; id < nodes_.size(); ++id) {
+    if (std::exception_ptr error = fire(id)) {
+      // The nodes after `id` never fire: retire them from the pending count.
+      introspect::graph_pending_counter().fetch_sub(
+          n - static_cast<long long>(id) - 1, std::memory_order_relaxed);
+      std::rethrow_exception(error);
+    }
+  }
 }
 
 }  // namespace rshc::parallel

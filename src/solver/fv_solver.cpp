@@ -28,13 +28,12 @@ HostPipeline parse_host_pipeline(std::string_view name) {
   return HostPipeline::kBatchedSimd;  // unreachable
 }
 
-#if RSHC_OBS_ENABLED
 namespace {
 // Heartbeat throughput: interior zone-updates per second over the step(s)
 // just taken (zones x RK stages x steps / elapsed), the "zones/sec" the
 // live telemetry reports and perf_report turns into MLUPS.
-double heartbeat_zone_rate(const mesh::Grid& g, int stages, long long nsteps,
-                           double seconds) {
+[[maybe_unused]] double heartbeat_zone_rate(const mesh::Grid& g, int stages,
+                                            long long nsteps, double seconds) {
   if (seconds <= 0.0) return 0.0;
   const double zones = static_cast<double>(g.extent(0)) *
                        static_cast<double>(g.extent(1)) *
@@ -43,7 +42,6 @@ double heartbeat_zone_rate(const mesh::Grid& g, int stages, long long nsteps,
          static_cast<double>(nsteps) / seconds;
 }
 }  // namespace
-#endif
 
 // Per-block work arrays, sized once for the longest axis: the batched
 // path reconstructs core::kTileRows pencils per call through the shared
@@ -66,27 +64,9 @@ FvSolver<Physics>::FvSolver(const mesh::Grid& grid, Options opt)
     : grid_(grid),
       opt_(opt),
       ng_(recon::ghost_width(opt.recon)),
-      decomp_(grid_, opt.blocks) {
-  const int nb = decomp_.num_blocks();
-  blocks_.reserve(static_cast<std::size_t>(nb));
-  for (int b = 0; b < nb; ++b) {
-    blocks_.emplace_back(grid_, decomp_.extents(b), ng_, Physics::kNumCons,
-                         Physics::kNumPrim);
-    const auto& blk = blocks_.back();
-    for (int a = 0; a < grid_.ndim(); ++a) {
-      RSHC_REQUIRE(blk.interior(a) >= ng_,
-                   "block too small for reconstruction stencil");
-    }
-    u0_.emplace_back(Physics::kNumCons, blk.total(2), blk.total(1),
-                     blk.total(0));
-    du_.emplace_back(Physics::kNumCons, blk.total(2), blk.total(1),
-                     blk.total(0));
-    const int max_extent =
-        std::max({blk.total(0), blk.total(1), blk.total(2)});
-    scratch_.push_back(std::make_unique<Scratch>(max_extent));
-  }
-  block_stats_.resize(static_cast<std::size_t>(nb));
-  recon_fn_ = recon::pencil_kernel(opt_.recon);
+      decomp_(grid_, opt.blocks),
+      recon_fn_(recon::pencil_kernel(opt.recon)) {
+  for (int b = 0; b < decomp_.num_blocks(); ++b) add_block(decomp_.extents(b));
 }
 
 template <typename Physics>
@@ -96,13 +76,18 @@ FvSolver<Physics>::FvSolver(const mesh::Grid& grid, Options opt,
       opt_(opt),
       ng_(recon::ghost_width(opt.recon)),
       decomp_(grid_, {1, 1, 1}),
+      recon_fn_(recon::pencil_kernel(opt.recon)),
       restricted_(true) {
-  blocks_.emplace_back(grid_, sub, ng_, Physics::kNumCons,
-                       Physics::kNumPrim);
-  const auto& blk = blocks_.back();
+  add_block(sub);
+}
+
+template <typename Physics>
+void FvSolver<Physics>::add_block(const mesh::BlockExtents& extents) {
+  const auto& blk = blocks_.emplace_back(grid_, extents, ng_, Physics::kNumCons,
+                                         Physics::kNumPrim);
   for (int a = 0; a < grid_.ndim(); ++a) {
     RSHC_REQUIRE(blk.interior(a) >= ng_,
-                 "rank block too small for reconstruction stencil");
+                 "block too small for reconstruction stencil");
   }
   u0_.emplace_back(Physics::kNumCons, blk.total(2), blk.total(1),
                    blk.total(0));
@@ -110,8 +95,7 @@ FvSolver<Physics>::FvSolver(const mesh::Grid& grid, Options opt,
                    blk.total(0));
   scratch_.push_back(std::make_unique<Scratch>(
       std::max({blk.total(0), blk.total(1), blk.total(2)})));
-  block_stats_.resize(1);
-  recon_fn_ = recon::pencil_kernel(opt_.recon);
+  block_stats_.emplace_back();
 }
 
 template <typename Physics>
@@ -332,28 +316,6 @@ void FvSolver<Physics>::update_block(int b, time::StageCoeffs coeffs,
 }
 
 template <typename Physics>
-void FvSolver<Physics>::save_state() {
-  RSHC_OBS_PHASE("solver.phase.other", "solver", -1);
-  for (int b = 0; b < num_blocks(); ++b) {
-    const auto src = blocks_[static_cast<std::size_t>(b)].cons().flat();
-    auto dst = u0_[static_cast<std::size_t>(b)].flat();
-    std::copy(src.begin(), src.end(), dst.begin());
-  }
-}
-
-template <typename Physics>
-void FvSolver<Physics>::post_step_all() {
-  RSHC_OBS_PHASE("solver.phase.other", "solver", -1);
-  for (int b = 0; b < num_blocks(); ++b) {
-    auto& blk = blocks_[static_cast<std::size_t>(b)];
-    Physics::post_step(blk.cons(), blk.prim(), opt_.physics, current_dt_,
-                       grid_.min_dx());
-  }
-  for (const auto& bs : block_stats_) stats_ += bs;
-  for (auto& bs : block_stats_) bs = {};
-}
-
-template <typename Physics>
 void FvSolver<Physics>::recover_all_prims() {
   for (int b = 0; b < num_blocks(); ++b) {
     auto& blk = blocks_[static_cast<std::size_t>(b)];
@@ -395,40 +357,13 @@ double FvSolver<Physics>::compute_dt() const {
   return opt_.cfl * grid_.min_dx() / vmax;
 }
 
-template <typename Physics>
-void FvSolver<Physics>::stage_serial(int stage, double dt) {
-  const auto coeffs = time::stage_coeffs(opt_.integrator, stage);
-  WallTimer t;
-  if (overlap_active()) {
-    // Latency-hiding schedule: post every face exchange up front, compute
-    // the ghost-free interior while messages fly, and finish boundary
-    // boxes as their faces land. The exchange phase is the pack+post cost
-    // only; the waits hide inside the rhs phase (that is the point).
-    for (int b = 0; b < num_blocks(); ++b) overlap_begin_(b);
-    phases_.exchange += t.seconds();
-    t.reset();
-    for (int b = 0; b < num_blocks(); ++b) compute_rhs_overlapped(b);
-    phases_.rhs += t.seconds();
-  } else {
-    for (int b = 0; b < num_blocks(); ++b) exchange_block(b);
-    phases_.exchange += t.seconds();
-    t.reset();
-    for (int b = 0; b < num_blocks(); ++b) compute_rhs(b);
-    phases_.rhs += t.seconds();
-  }
-  t.reset();
-  for (int b = 0; b < num_blocks(); ++b) update_block(b, coeffs, dt);
-  phases_.update += t.seconds();
-}
-
 // Device-offload step: establish residency (full upload, first step only),
 // then per RK stage let DeviceExec pull rims down, run the host ghost
 // logic, push ghosts back up, and chain the rhs/update kernels — all
 // enqueued, overlapping transfer with compute. One synchronize at the end
-// of the step publishes the c2p stats.
+// of the step makes the c2p stats final.
 template <typename Physics>
 void FvSolver<Physics>::step_device(double dt) {
-  current_dt_ = dt;
   if (!device_) {
     device_ = std::make_unique<DeviceExec<Physics>>(
         grid_, blocks_, opt_.physics, recon_fn_, opt_.accel);
@@ -442,9 +377,6 @@ void FvSolver<Physics>::step_device(double dt) {
   }
   device_->post_step(dt, grid_.min_dx());
   device_->synchronize();
-  for (const auto& bs : block_stats_) stats_ += bs;
-  for (auto& bs : block_stats_) bs = {};
-  time_ += dt;
 }
 
 template <typename Physics>
@@ -475,97 +407,66 @@ template <typename Physics>
 void FvSolver<Physics>::step(double dt) {
   RSHC_OBS_PHASE("solver.step", "solver", -1);
   RSHC_OBS_COUNT("solver.steps", 1);
-#if RSHC_OBS_ENABLED
-  const WallTimer hb_timer;
-#endif
+  const WallTimer t;
   if (opt_.pipeline == HostPipeline::kDevice) {
     step_device(dt);
   } else {
     current_dt_ = dt;
-    WallTimer t;
-    save_state();
-    phases_.other += t.seconds();
-    for (int s = 0; s < time::num_stages(opt_.integrator); ++s) {
-      stage_serial(s, dt);
-    }
-    t.reset();
-    post_step_all();
-    phases_.other += t.seconds();
-    time_ += dt;
+    step_graph(1, Schedule::kDataflow).run_inline();
   }
-  ++steps_taken_;
-#if RSHC_OBS_ENABLED
-  RSHC_OBS_HEARTBEAT(steps_taken_, time_, dt,
-                     heartbeat_zone_rate(grid_,
-                                         time::num_stages(opt_.integrator),
-                                         1, hb_timer.seconds()));
-#endif
+  finish_steps(1, dt, t.seconds());
 }
 
 template <typename Physics>
-void FvSolver<Physics>::step_parallel(double dt, parallel::ThreadPool& pool,
-                                      bool dataflow) {
+void FvSolver<Physics>::run_steps(int nsteps, double dt,
+                                  parallel::ThreadPool& pool,
+                                  Schedule schedule) {
   RSHC_REQUIRE(opt_.pipeline != HostPipeline::kDevice,
                "host-parallel stepping does not drive the device pipeline; "
                "use step() or set_pipeline() first");
-  RSHC_OBS_PHASE("solver.step", "solver", -1);
-  RSHC_OBS_COUNT("solver.steps", 1);
-#if RSHC_OBS_ENABLED
-  const WallTimer hb_timer;
-#endif
-  if (dataflow) {
-    current_dt_ = dt;
-    save_state();
-    step_graph(1).run(pool);
-    post_step_all();
-    time_ += dt;
-  } else {
-    // Bulk-synchronous: a barrier after every phase of every stage.
-    current_dt_ = dt;
-    save_state();
-    const int nb = num_blocks();
-    for (int s = 0; s < time::num_stages(opt_.integrator); ++s) {
-      const auto coeffs = time::stage_coeffs(opt_.integrator, s);
-      pool.parallel_for(0, nb, [&](long long b) {
-        exchange_block(static_cast<int>(b));
-      });
-      pool.parallel_for(0, nb, [&](long long b) {
-        compute_rhs(static_cast<int>(b));
-        update_block(static_cast<int>(b), coeffs, dt);
-      });
-    }
-    post_step_all();
-    time_ += dt;
-  }
-  ++steps_taken_;
-#if RSHC_OBS_ENABLED
-  RSHC_OBS_HEARTBEAT(steps_taken_, time_, dt,
-                     heartbeat_zone_rate(grid_,
-                                         time::num_stages(opt_.integrator),
-                                         1, hb_timer.seconds()));
-#endif
+  RSHC_TRACE_SCOPE("solver.run_steps", "solver", nsteps);
+  RSHC_OBS_COUNT("solver.steps", nsteps);
+  const WallTimer t;
+  current_dt_ = dt;
+  step_graph(nsteps, schedule).run(pool);
+  finish_steps(nsteps, dt, t.seconds());
 }
 
 template <typename Physics>
-parallel::TaskGraph& FvSolver<Physics>::step_graph(int nsteps) {
-  if (graph_ && graph_steps_ == nsteps &&
+void FvSolver<Physics>::finish_steps(int nsteps, double dt,
+                                     [[maybe_unused]] double seconds) {
+  for (const auto& bs : block_stats_) stats_ += bs;
+  for (auto& bs : block_stats_) bs = {};
+  time_ += dt * nsteps;
+  steps_taken_ += nsteps;
+  // One heartbeat per call: a multi-step graph has no per-step boundary;
+  // the rate still averages over every step taken.
+  RSHC_OBS_HEARTBEAT(steps_taken_, time_, dt,
+                     heartbeat_zone_rate(grid_,
+                                         time::num_stages(opt_.integrator),
+                                         nsteps, seconds));
+}
+
+template <typename Physics>
+parallel::TaskGraph& FvSolver<Physics>::step_graph(int nsteps,
+                                                   Schedule schedule) {
+  if (graph_ && graph_steps_ == nsteps && graph_schedule_ == schedule &&
       graph_overlap_ == overlap_active()) {
     return *graph_;
   }
   graph_ = std::make_unique<parallel::TaskGraph>();
   graph_steps_ = nsteps;
+  graph_schedule_ = schedule;
   graph_overlap_ = overlap_active();
   const bool overlap = graph_overlap_;
 
   using NodeId = parallel::TaskGraph::NodeId;
   const int nb = num_blocks();
   const int stages = time::num_stages(opt_.integrator);
-  std::vector<NodeId> prev_k;  // K nodes of the previous global stage
-  std::vector<NodeId> cur_e(static_cast<std::size_t>(nb));
-  std::vector<NodeId> cur_k(static_cast<std::size_t>(nb));
 
-  auto neighbors_of = [&](int b) {
-    std::vector<int> out;
+  std::vector<std::vector<int>> neighbors(static_cast<std::size_t>(nb));
+  for (int b = 0; b < nb; ++b) {
+    auto& out = neighbors[static_cast<std::size_t>(b)];
     for (int axis = 0; axis < grid_.ndim(); ++axis) {
       for (int side = 0; side < 2; ++side) {
         const auto nbr =
@@ -575,7 +476,30 @@ parallel::TaskGraph& FvSolver<Physics>::step_graph(int nsteps) {
     }
     std::sort(out.begin(), out.end());
     out.erase(std::unique(out.begin(), out.end()), out.end());
-    return out;
+  }
+
+  // One node per block for a phase (E or K of one stage). Dataflow: the
+  // node depends on its own block and its neighbours in the previous
+  // phase. Bulk-sync: on one no-op barrier node over the whole previous
+  // phase. The first phase's nodes are the graph roots.
+  std::vector<NodeId> prev;
+  auto add_phase = [&](const auto& body_of) {
+    std::vector<NodeId> barrier;
+    if (schedule == Schedule::kBulkSync && !prev.empty()) {
+      barrier.push_back(graph_->add([] {}, prev));
+    }
+    std::vector<NodeId> cur(static_cast<std::size_t>(nb));
+    for (int b = 0; b < nb; ++b) {
+      std::vector<NodeId> deps = barrier;
+      if (barrier.empty() && !prev.empty()) {
+        deps.push_back(prev[static_cast<std::size_t>(b)]);
+        for (int nbr : neighbors[static_cast<std::size_t>(b)]) {
+          deps.push_back(prev[static_cast<std::size_t>(nbr)]);
+        }
+      }
+      cur[static_cast<std::size_t>(b)] = graph_->add(body_of(b), deps);
+    }
+    prev = std::move(cur);
   };
 
   for (int step = 0; step < nsteps; ++step) {
@@ -583,100 +507,49 @@ parallel::TaskGraph& FvSolver<Physics>::step_graph(int nsteps) {
       const bool step_start = (s == 0);
       const bool step_end = (s == stages - 1);
       const auto coeffs = time::stage_coeffs(opt_.integrator, s);
-      // E nodes: exchange+BC. Depend on previous-global-stage K of self and
-      // neighbours (empty for the very first stage: graph roots).
-      for (int b = 0; b < nb; ++b) {
-        std::vector<NodeId> deps;
-        if (!prev_k.empty()) {
-          deps.push_back(prev_k[static_cast<std::size_t>(b)]);
-          for (int nbr : neighbors_of(b)) {
-            deps.push_back(prev_k[static_cast<std::size_t>(nbr)]);
+      // E nodes: exchange+BC (K of self and neighbours wrote the prims
+      // this copies).
+      add_phase([&](int b) {
+        return [this, b, step_start, overlap] {
+          if (step_start) {
+            // Per-block save of the RK reference state.
+            RSHC_OBS_PHASE("solver.phase.other", "solver", b);
+            const auto src =
+                blocks_[static_cast<std::size_t>(b)].cons().flat();
+            auto dst = u0_[static_cast<std::size_t>(b)].flat();
+            std::copy(src.begin(), src.end(), dst.begin());
           }
-        }
-        cur_e[static_cast<std::size_t>(b)] = graph_->add(
-            [this, b, step_start, overlap] {
-              if (step_start) {
-                // Per-block save of the RK reference state (dataflow keeps
-                // even this barrier-free).
-                const auto src =
-                    blocks_[static_cast<std::size_t>(b)].cons().flat();
-                auto dst = u0_[static_cast<std::size_t>(b)].flat();
-                std::copy(src.begin(), src.end(), dst.begin());
-              }
-              // Overlap: only post the async exchange here; the matching
-              // K node finishes it face by face under the interior pass,
-              // so boundary work keys off halo arrival, not a bulk wait.
-              if (overlap) {
-                overlap_begin_(b);
-              } else {
-                exchange_block(b);
-              }
-            },
-            deps);
-      }
-      // K nodes: rhs+update+c2p. Depend on own E and neighbours' E
-      // (anti-dependency: E(nbr) reads this block's prims).
-      for (int b = 0; b < nb; ++b) {
-        std::vector<NodeId> deps;
-        deps.push_back(cur_e[static_cast<std::size_t>(b)]);
-        for (int nbr : neighbors_of(b)) {
-          deps.push_back(cur_e[static_cast<std::size_t>(nbr)]);
-        }
-        cur_k[static_cast<std::size_t>(b)] = graph_->add(
-            [this, b, coeffs, step_end, overlap] {
-              if (overlap) {
-                compute_rhs_overlapped(b);
-              } else {
-                compute_rhs(b);
-              }
-              update_block(b, coeffs, current_dt_);
-              if (step_end) {
-                auto& blk = blocks_[static_cast<std::size_t>(b)];
-                Physics::post_step(blk.cons(), blk.prim(), opt_.physics,
-                                   current_dt_, grid_.min_dx());
-              }
-            },
-            deps);
-      }
-      prev_k = cur_k;
+          // Overlap: only post the async exchange here; the matching K
+          // node finishes it face by face under the interior pass, so
+          // boundary work keys off halo arrival, not a bulk wait.
+          if (overlap) {
+            overlap_begin_(b);
+          } else {
+            exchange_block(b);
+          }
+        };
+      });
+      // K nodes: rhs+update+c2p (E of neighbours read this block's prims:
+      // anti-dependency).
+      add_phase([&](int b) {
+        return [this, b, coeffs, step_end, overlap] {
+          if (overlap) {
+            compute_rhs_overlapped(b);
+          } else {
+            compute_rhs(b);
+          }
+          update_block(b, coeffs, current_dt_);
+          if (step_end) {
+            RSHC_OBS_PHASE("solver.phase.other", "solver", b);
+            auto& blk = blocks_[static_cast<std::size_t>(b)];
+            Physics::post_step(blk.cons(), blk.prim(), opt_.physics,
+                               current_dt_, grid_.min_dx());
+          }
+        };
+      });
     }
   }
   return *graph_;
-}
-
-template <typename Physics>
-void FvSolver<Physics>::run_steps_dataflow(int nsteps, double dt,
-                                           parallel::ThreadPool& pool) {
-  RSHC_REQUIRE(opt_.pipeline != HostPipeline::kDevice,
-               "host-parallel stepping does not drive the device pipeline; "
-               "use step() or set_pipeline() first");
-  RSHC_TRACE_SCOPE("solver.run_steps_dataflow", "solver", nsteps);
-  RSHC_OBS_COUNT("solver.steps", nsteps);
-#if RSHC_OBS_ENABLED
-  const WallTimer hb_timer;
-#endif
-  current_dt_ = dt;
-  // save_state happens inside the first-stage E nodes (per block).
-  step_graph(nsteps).run(pool);
-  // post_step is folded into the last-stage K nodes.
-  for (const auto& bs : block_stats_) stats_ += bs;
-  for (auto& bs : block_stats_) bs = {};
-  time_ += dt * nsteps;
-  steps_taken_ += nsteps;
-#if RSHC_OBS_ENABLED
-  // One heartbeat for the whole burst (there is no per-step boundary in
-  // the fused graph); the rate still averages over every step taken.
-  RSHC_OBS_HEARTBEAT(steps_taken_, time_, dt,
-                     heartbeat_zone_rate(grid_,
-                                         time::num_stages(opt_.integrator),
-                                         nsteps, hb_timer.seconds()));
-#endif
-}
-
-template <typename Physics>
-void FvSolver<Physics>::run_steps_bulksync(int nsteps, double dt,
-                                           parallel::ThreadPool& pool) {
-  for (int i = 0; i < nsteps; ++i) step_parallel(dt, pool, /*dataflow=*/false);
 }
 
 template <typename Physics>

@@ -174,7 +174,7 @@ TEST_F(ObsIntegration, DataflowTraceShowsExchangeOverlappingCompute) {
 
   parallel::ThreadPool pool(4);
   obs::set_tracing(true);
-  s.run_steps_dataflow(12, 0.002, pool);
+  s.run_steps(12, 0.002, pool);
   obs::set_tracing(false);
 
   const auto events = obs::Tracer::global().events();

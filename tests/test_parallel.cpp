@@ -4,6 +4,8 @@
 
 #include <atomic>
 #include <numeric>
+#include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "rshc/common/error.hpp"
@@ -201,6 +203,62 @@ TEST(TaskGraph, WideFanOutAndIn) {
         std::span<const TaskGraph::NodeId>(mids));
   g.run(pool);
   EXPECT_EQ(total.load(), 64 * 65 / 2);
+}
+
+TEST(TaskGraph, RunInlineFollowsCreationOrderOnCallingThread) {
+  TaskGraph g;
+  std::vector<int> order;
+  std::vector<std::thread::id> threads;
+  auto node = [&](int id) {
+    return [&order, &threads, id] {
+      order.push_back(id);
+      threads.push_back(std::this_thread::get_id());
+    };
+  };
+  // A diamond plus an independent root created last: creation order, not
+  // readiness, decides the inline schedule.
+  const auto top = g.add(node(0));
+  const auto l = g.add(node(1), {top});
+  const auto r = g.add(node(2), {top});
+  g.add(node(3), {l, r});
+  g.add(node(4));
+
+  const long long pending0 = introspect::pending_graph_nodes();
+  const long long finished0 = introspect::graph_nodes_finished();
+  g.run_inline();
+  EXPECT_EQ(introspect::pending_graph_nodes(), pending0);
+  EXPECT_EQ(introspect::graph_nodes_finished() - finished0, 5);
+  // Re-runnable, also after a pool run of the same graph.
+  ThreadPool pool(2);
+  g.run(pool);
+  order.clear();
+  threads.clear();
+  g.run_inline();
+  EXPECT_EQ(introspect::pending_graph_nodes(), pending0);
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
+  for (const auto& t : threads) EXPECT_EQ(t, std::this_thread::get_id());
+}
+
+TEST(TaskGraph, RunInlineStopsAtFirstExceptionAndRethrows) {
+  TaskGraph g;
+  std::vector<int> ran;
+  const auto a = g.add([&] { ran.push_back(0); });
+  const auto b = g.add([&] {
+    ran.push_back(1);
+    throw std::runtime_error("node failed");
+  });
+  g.add([&] { ran.push_back(2); }, {a});  // independent of the failure
+  g.add([&] { ran.push_back(3); }, {b});
+  g.add([&] { throw std::logic_error("never reached"); });
+
+  const long long pending0 = introspect::pending_graph_nodes();
+  EXPECT_THROW(g.run_inline(), std::runtime_error);
+  // Unlike run(pool), no node after the failing one fires.
+  EXPECT_EQ(ran, (std::vector<int>{0, 1}));
+  EXPECT_EQ(introspect::pending_graph_nodes(), pending0);
+  ran.clear();
+  EXPECT_THROW(g.run_inline(), std::runtime_error);
+  EXPECT_EQ(ran, (std::vector<int>{0, 1}));
 }
 
 }  // namespace

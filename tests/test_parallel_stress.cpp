@@ -105,7 +105,7 @@ TEST(ParallelStress, DataflowSolverMatchesSerialUnderOversubscription) {
   solver::SrhdSolver s(g, opt_mb);
   s.initialize(ic);
   parallel::ThreadPool pool(kThreads);
-  s.run_steps_dataflow(kSteps, kDt, pool);
+  s.run_steps(kSteps, kDt, pool);
 
   const auto rho = s.gather_prim_var(srhd::kRho);
   ASSERT_EQ(rho.size(), rho_ref.size());

@@ -127,7 +127,7 @@ TEST(Solver3d, DataflowMatchesSerial3d) {
     parallel::ThreadPool pool(2);
     for (int i = 0; i < 4; ++i) {
       if (dataflow) {
-        s.step_parallel(0.008, pool, /*dataflow=*/true);
+        s.run_steps(1, 0.008, pool);
       } else {
         s.step(0.008);
       }

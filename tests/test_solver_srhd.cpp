@@ -5,7 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <string>
+#include <vector>
 
 #include "rshc/analysis/exact_riemann.hpp"
 #include "rshc/common/math.hpp"
@@ -208,8 +210,8 @@ std::vector<double> run_mode(int blocks_x, int blocks_y, int mode,
   for (int i = 0; i < 12; ++i) {
     switch (mode) {
       case 0: s.step(dt); break;
-      case 1: s.step_parallel(dt, pool, /*dataflow=*/false); break;
-      case 2: s.step_parallel(dt, pool, /*dataflow=*/true); break;
+      case 1: s.run_steps(1, dt, pool, solver::Schedule::kBulkSync); break;
+      case 2: s.run_steps(1, dt, pool, solver::Schedule::kDataflow); break;
       default: break;
     }
   }
@@ -252,20 +254,76 @@ TEST(SrhdSolverModes, MultiStepDataflowGraphMatchesStepwise) {
                       0.0, 1.0};
   };
   parallel::ThreadPool pool(2);
-  SrhdSolver a(g, opt);
-  a.initialize(ic);
-  a.run_steps_dataflow(6, 0.005, pool);
-
   SrhdSolver b(g, opt);
   b.initialize(ic);
   for (int i = 0; i < 6; ++i) b.step(0.005);
-
-  const auto ra = a.gather_prim_var(srhd::kRho);
   const auto rb = b.gather_prim_var(srhd::kRho);
-  for (std::size_t i = 0; i < ra.size(); ++i) {
-    EXPECT_EQ(ra[i], rb[i]) << "cell " << i;
+
+  for (const auto schedule :
+       {solver::Schedule::kDataflow, solver::Schedule::kBulkSync}) {
+    SrhdSolver a(g, opt);
+    a.initialize(ic);
+    a.run_steps(6, 0.005, pool, schedule);
+    const auto ra = a.gather_prim_var(srhd::kRho);
+    ASSERT_EQ(ra.size(), rb.size());
+    for (std::size_t i = 0; i < ra.size(); ++i) {
+      EXPECT_EQ(ra[i], rb[i])
+          << "cell " << i << " bulk-sync="
+          << (schedule == solver::Schedule::kBulkSync);
+    }
+    EXPECT_NEAR(a.time(), b.time(), 1e-15);
+    EXPECT_EQ(a.steps_taken(), b.steps_taken());
   }
-  EXPECT_NEAR(a.time(), b.time(), 1e-15);
+}
+
+TEST(SrhdSolver, RestrictedStepWithoutGhostFillerThrowsAndLeavesState) {
+  // The per-rank view has no sibling blocks to copy ghosts from: stepping
+  // it without a filler must fail in the first exchange, before the step
+  // touches cons, prims or the clock.
+  const mesh::Grid g = mesh::Grid::make_2d(16, 8, 0.0, 1.0, 0.0, 0.5);
+  SrhdSolver s(g, periodic_opts(), mesh::BlockExtents{{0, 0, 0}, {16, 8, 1}});
+  s.set_ghost_filler([&s](int) {
+    auto& blk = s.block(0);
+    for (int axis = 0; axis < 2; ++axis) {
+      for (int side = 0; side < 2; ++side) {
+        mesh::apply_physical_boundary(
+            blk, axis, side, mesh::BcType::kOutflow,
+            solver::SrhdPhysics::reflect_negate_vars(axis));
+      }
+    }
+  });
+  s.initialize([](double x, double y, double) {
+    return srhd::Prim{1.0 + 0.3 * std::sin(2 * M_PI * (x + y)), 0.2, -0.1,
+                      0.0, 1.0};
+  });
+  s.step(0.005);
+  const double t0 = s.time();
+  const auto cons0 = s.block(0).cons().flat();
+  const auto prim0 = s.block(0).prim().flat();
+  const std::vector<double> cons(cons0.begin(), cons0.end());
+  const std::vector<double> prim(prim0.begin(), prim0.end());
+
+  s.set_ghost_filler({});
+  try {
+    s.step(0.005);
+    ADD_FAILURE() << "step() without a ghost filler did not throw";
+  } catch (const rshc::Error& e) {
+    EXPECT_NE(std::string(e.what()).find("needs set_ghost_filler"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(s.time(), t0);
+  EXPECT_EQ(s.steps_taken(), 1);
+  const auto cons1 = s.block(0).cons().flat();
+  const auto prim1 = s.block(0).prim().flat();
+  ASSERT_EQ(cons1.size(), cons.size());
+  ASSERT_EQ(prim1.size(), prim.size());
+  EXPECT_EQ(std::memcmp(cons1.data(), cons.data(),
+                        cons.size() * sizeof(double)),
+            0);
+  EXPECT_EQ(std::memcmp(prim1.data(), prim.data(),
+                        prim.size() * sizeof(double)),
+            0);
 }
 
 TEST(SrhdSolver, TwoDimensionalConservation) {

@@ -5,8 +5,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <memory>
 
 #include "rshc/analysis/norms.hpp"
+#include "rshc/parallel/thread_pool.hpp"
 #include "rshc/problems/problems.hpp"
 #include "rshc/solver/diagnostics.hpp"
 #include "rshc/solver/fv_solver.hpp"
@@ -205,6 +208,54 @@ TEST(SrmhdSolver, PsiDampingShrinksPsiNorm) {
   const double psi0 = solver::psi_l2(s);
   for (int i = 0; i < 30; ++i) s.step(s.compute_dt());
   EXPECT_LT(solver::psi_l2(s), psi0);
+}
+
+// Multi-block SRMHD through every host schedule of the step graph:
+// Physics::post_step (GLM psi damping) runs inside the last-stage compute
+// node, so serial, dataflow and bulk-sync stepping must agree bitwise in
+// every variable, cons and prims.
+TEST(SrmhdSolverModes, FieldLoopStepDataflowBulkSyncBitwise) {
+  const mesh::Grid g = mesh::Grid::make_2d(24, 24, -0.5, 0.5, -0.5, 0.5);
+  SrmhdSolver::Options opt = mhd_opts();
+  opt.blocks = {2, 2, 1};
+  constexpr int kSteps = 5;
+  auto run = [&](int mode) {
+    auto s = std::make_unique<SrmhdSolver>(g, opt);
+    s->initialize(problems::field_loop_ic({}));
+    const double dt = 0.5 * s->compute_dt();
+    parallel::ThreadPool pool(3);
+    switch (mode) {
+      case 0:
+        for (int i = 0; i < kSteps; ++i) s->step(dt);
+        break;
+      case 1:
+        s->run_steps(kSteps, dt, pool, solver::Schedule::kDataflow);
+        break;
+      default:
+        s->run_steps(kSteps, dt, pool, solver::Schedule::kBulkSync);
+        break;
+    }
+    return s;
+  };
+  const auto serial = run(0);
+  for (const int mode : {1, 2}) {
+    const auto other = run(mode);
+    EXPECT_EQ(other->steps_taken(), kSteps);
+    EXPECT_EQ(other->c2p_stats().floored_zones,
+              serial->c2p_stats().floored_zones);
+    for (int b = 0; b < serial->num_blocks(); ++b) {
+      const mesh::Block& x = serial->block(b);
+      const mesh::Block& y = other->block(b);
+      for (const bool cons : {true, false}) {
+        const auto fx = cons ? x.cons().flat() : x.prim().flat();
+        const auto fy = cons ? y.cons().flat() : y.prim().flat();
+        ASSERT_EQ(fx.size(), fy.size());
+        EXPECT_EQ(
+            std::memcmp(fx.data(), fy.data(), fx.size() * sizeof(double)), 0)
+            << "mode " << mode << " block " << b << (cons ? " cons" : " prim");
+      }
+    }
+  }
 }
 
 }  // namespace

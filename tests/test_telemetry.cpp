@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "rshc/check/check.hpp"
+#include "rshc/common/error.hpp"
 #include "rshc/device/event.hpp"
 #include "rshc/obs/journal.hpp"
 #include "rshc/obs/obs.hpp"
@@ -203,11 +204,11 @@ TEST_F(Telemetry, ParallelStepsPublishHeartbeatToo) {
   solver::SrhdSolver s(mesh::Grid::make_1d(64, 0.0, 1.0), opt);
   s.initialize(problems::shock_tube_ic(problems::sod()));
   parallel::ThreadPool pool(2);
-  s.step_parallel(0.001, pool, /*dataflow=*/false);
-  s.step_parallel(0.001, pool, /*dataflow=*/true);
-  s.run_steps_dataflow(3, 0.001, pool);
+  s.run_steps(1, 0.001, pool, solver::Schedule::kBulkSync);
+  s.run_steps(1, 0.001, pool, solver::Schedule::kDataflow);
+  s.run_steps(3, 0.001, pool);
   EXPECT_EQ(s.steps_taken(), 5);
-  // One heartbeat per step_parallel call, one per run_steps_dataflow burst.
+  // One heartbeat per run_steps call, whatever its step count.
   EXPECT_EQ(obs::telemetry::heartbeat_ticks() - ticks0, 3u);
   EXPECT_EQ(obs::telemetry::last_heartbeat().step, 5);
 }
@@ -358,6 +359,26 @@ TEST_F(Telemetry, EnvParsingCoversPoliciesAndDefaults) {
   const WatchdogOptions wopt = obs::telemetry::watchdog_options_from_env();
   EXPECT_EQ(wopt.policy, WatchdogPolicy::kWarn);
   EXPECT_EQ(wopt.timeout.count(), 123);
+
+  // Malformed numbers fail loudly, naming the variable and its value,
+  // instead of truncating ("5s" -> 5 ms) or collapsing to the 1 ms floor.
+  for (const char* bad : {"5s", "abc", "12 ", "1e3", "99999999999"}) {
+    ::setenv("RSHC_WATCHDOG_TIMEOUT_MS", bad, 1);
+    try {
+      (void)obs::telemetry::watchdog_options_from_env();
+      ADD_FAILURE() << "RSHC_WATCHDOG_TIMEOUT_MS=" << bad << " accepted";
+    } catch (const rshc::Error& e) {
+      const std::string msg = e.what();
+      EXPECT_NE(msg.find("RSHC_WATCHDOG_TIMEOUT_MS"), std::string::npos)
+          << msg;
+      EXPECT_NE(msg.find("'" + std::string(bad) + "'"), std::string::npos)
+          << msg;
+    }
+  }
+  ::setenv("RSHC_TELEMETRY_INTERVAL_MS", "10ms", 1);
+  EXPECT_THROW((void)obs::telemetry::sampler_options_from_env(),
+               rshc::Error);
+  ::unsetenv("RSHC_TELEMETRY_INTERVAL_MS");
   ::unsetenv("RSHC_WATCHDOG");
   ::unsetenv("RSHC_WATCHDOG_TIMEOUT_MS");
 }
