@@ -22,20 +22,23 @@
 #endif
 
 #if RSHC_OBS_ENABLED
-
 #include <atomic>
 #include <fstream>
 
 #include "rshc/common/mutex.hpp"
+#endif
 
 namespace rshc::obs::journal {
 
 inline constexpr int kSchemaVersion = 1;
 inline constexpr const char* kSchemaName = "rshc.journal";
 
-/// Append `s` to `out` with JSON string escaping (quotes, backslash,
-/// control characters). Shared with the telemetry JSONL writer.
+/// Append `s` to `out` with JSON string escaping (quotes, backslash, every
+/// control byte below 0x20). The one escaper behind every obs JSON writer;
+/// it exists in both builds (Snapshot and RunReport to_json need it).
 void append_json_escaped(std::string& out, std::string_view s);
+
+#if RSHC_OBS_ENABLED
 
 /// One extra key/value pair on a journal event. The value is pre-rendered
 /// to JSON text at construction (strings escaped and quoted, numbers
@@ -112,14 +115,7 @@ void run_start(std::string_view name) noexcept;
 void run_end(std::string_view name) noexcept;
 void checkpoint(std::string_view path, double time) noexcept;
 
-}  // namespace rshc::obs::journal
-
 #else  // !RSHC_OBS_ENABLED
-
-namespace rshc::obs::journal {
-
-inline constexpr int kSchemaVersion = 1;
-inline constexpr const char* kSchemaName = "rshc.journal";
 
 struct Field {
   Field(std::string_view, std::string_view) {}
@@ -151,6 +147,6 @@ inline void run_start(std::string_view) noexcept {}
 inline void run_end(std::string_view) noexcept {}
 inline void checkpoint(std::string_view, double) noexcept {}
 
-}  // namespace rshc::obs::journal
-
 #endif  // RSHC_OBS_ENABLED
+
+}  // namespace rshc::obs::journal

@@ -3,7 +3,7 @@
 // Three cooperating pieces on top of the metrics Registry / span Tracer /
 // event Journal:
 //
-//  - Sampler: a background thread that snapshots the Registry every
+//  - Sampler: a periodic probe that snapshots the Registry every
 //    RSHC_TELEMETRY_INTERVAL_MS into a bounded ring, streams each sample
 //    as one "rshc.telemetry" v1 JSONL line (RSHC_TELEMETRY_OUT), and —
 //    when tracing is active — re-emits a watch list of metrics as Chrome
@@ -13,13 +13,16 @@
 //    zones/sec, halo + device transfer bytes) as gauges, rank-scoped under
 //    a ScopedRegistry like every other metric, plus a process-global
 //    progress ticker the watchdog watches.
-//  - Watchdog: a background thread that declares a stall when work is
+//  - Watchdog: a periodic probe that declares a stall when work is
 //    visibly pending (task-graph nodes, mailbox messages — see the
 //    introspect hooks in parallel/task_graph.hpp, parallel/thread_pool.hpp
 //    and comm/communicator.hpp) but no progress signal has moved for
-//    RSHC_WATCHDOG_TIMEOUT_MS, then journals a diagnostic dump and, per
+//    RSHC_WATCHDOG_TIMEOUT_MS (parallel::StallLatch: once per stall
+//    episode), then journals a diagnostic dump and, per
 //    RSHC_WATCHDOG=off|warn|fatal, stays quiet, warns (rate-limited), or
 //    aborts the run.
+//
+// Neither owns a thread: both are probes on the one parallel::Monitor.
 //
 // Compile gating mirrors obs.hpp: with RSHC_OBS=OFF everything here is an
 // inline no-op stub and src/obs/telemetry.cpp compiles to an empty object
@@ -39,13 +42,12 @@
 
 #if RSHC_OBS_ENABLED
 #include <atomic>
-#include <condition_variable>
 #include <fstream>
-#include <thread>
 #include <utility>
 
 #include "rshc/common/log.hpp"
 #include "rshc/common/mutex.hpp"
+#include "rshc/parallel/monitor.hpp"
 #endif
 
 namespace rshc::obs::telemetry {
@@ -89,10 +91,8 @@ enum class WatchdogPolicy { kOff, kWarn, kFatal };
 
 struct WatchdogOptions {
   WatchdogPolicy policy = WatchdogPolicy::kOff;
+  /// Polled every parallel::StallLatch::period() (max(10ms, timeout/4)).
   std::chrono::milliseconds timeout{kDefaultWatchdogTimeoutMs};
-  /// Poll period; zero means derive timeout/4 (clamped to >= 10ms), which
-  /// bounds detection latency by ~1.25x the timeout.
-  std::chrono::milliseconds poll{0};
 };
 
 #if RSHC_OBS_ENABLED
@@ -122,9 +122,9 @@ void publish_heartbeat(std::int64_t step, double t, double dt,
 [[nodiscard]] std::uint64_t heartbeat_ticks() noexcept;
 [[nodiscard]] Heartbeat last_heartbeat();
 
-/// Background Registry sampler. start()/stop() manage the thread; the
+/// Periodic Registry sampler. start()/stop() manage its monitor probe; the
 /// object must outlive it. sample_now() takes one synchronous sample and
-/// is valid with or without the thread (tests use it for determinism).
+/// is valid with or without the probe (tests use it for determinism).
 class Sampler {
  public:
   explicit Sampler(SamplerOptions opt = sampler_options_from_env());
@@ -138,9 +138,9 @@ class Sampler {
   void attach_registry(int pid, const Registry* reg) RSHC_EXCLUDES(mutex_);
   void detach_registries() RSHC_EXCLUDES(mutex_);
 
-  /// Spawn the sampling thread (no-op when !opt.enabled or running).
+  /// Register the sampling probe (no-op when !opt.enabled or running).
   void start();
-  /// Join the thread and take one final sample so short runs always
+  /// Remove the probe and take one final sample so short runs always
   /// record their end state. Safe to call repeatedly; the destructor
   /// calls it.
   void stop() noexcept;
@@ -150,30 +150,25 @@ class Sampler {
   /// Ring contents, oldest first (global + attached registries
   /// interleaved in take order).
   [[nodiscard]] std::vector<Sample> samples() const RSHC_EXCLUDES(mutex_);
-  [[nodiscard]] std::int64_t samples_taken() const noexcept;
+  [[nodiscard]] std::int64_t samples_taken() const noexcept
+      RSHC_EXCLUDES(mutex_);
 
  private:
-  void loop();
   void open_stream();
 
   SamplerOptions opt_;
   mutable Mutex mutex_;
-  std::condition_variable_any cv_;
-  bool stop_requested_ RSHC_GUARDED_BY(mutex_) = false;
   std::vector<std::pair<int, const Registry*>> extra_ RSHC_GUARDED_BY(mutex_);
   std::vector<Sample> ring_ RSHC_GUARDED_BY(mutex_);
   std::size_t ring_next_ RSHC_GUARDED_BY(mutex_) = 0;
-  std::uint64_t ring_written_ RSHC_GUARDED_BY(mutex_) = 0;
-  std::int64_t seq_ RSHC_GUARDED_BY(mutex_) = 0;
+  std::int64_t seq_ RSHC_GUARDED_BY(mutex_) = 0;  ///< samples taken
   std::ofstream os_ RSHC_GUARDED_BY(mutex_);
   bool stream_open_ RSHC_GUARDED_BY(mutex_) = false;
-  // relaxed: test-visible sample counter, eventual visibility only.
-  std::atomic<std::int64_t> taken_{0};
-  std::thread thread_;  // managed by start()/stop() only
+  parallel::Monitor::ProbeId probe_ = 0;  // managed by start()/stop() only
 };
 
-/// Background stall detector; see the header comment for the model.
-/// start()/stop() manage the thread; the destructor stops it.
+/// Stall detector; see the header comment for the model. start()/stop()
+/// manage its monitor probe; the destructor stops it.
 class Watchdog {
  public:
   explicit Watchdog(WatchdogOptions opt = watchdog_options_from_env());
@@ -193,17 +188,14 @@ class Watchdog {
   [[nodiscard]] static std::int64_t pending_work() noexcept;
 
  private:
-  void loop();
   void fire(std::int64_t idle_ms);
 
   WatchdogOptions opt_;
   log::RateLimit warn_limit_;
-  mutable Mutex mutex_;
-  std::condition_variable_any cv_;
-  bool stop_requested_ RSHC_GUARDED_BY(mutex_) = false;
+  parallel::StallLatch latch_;  // fed by the probe only
   // relaxed: test-visible stall counter, eventual visibility only.
   std::atomic<std::int64_t> stalls_{0};
-  std::thread thread_;  // managed by start()/stop() only
+  parallel::Monitor::ProbeId probe_ = 0;  // managed by start()/stop() only
 };
 
 #else  // !RSHC_OBS_ENABLED

@@ -16,7 +16,8 @@
 //  - Isolation: with RSHC_OBS on, each job's solver metrics accumulate in
 //    a per-job obs::Registry (installed thread-locally while the job
 //    runs), and every lifecycle transition is journaled.
-//  - Stall monitoring is per job: only *running* jobs are scanned, so an
+//  - Stall monitoring is per job: a parallel::Monitor probe latches each
+//    job's step count (StallLatch) with only *running* jobs busy, so an
 //    idle queued job can neither fire nor mask a stall warning.
 //
 // Configuration comes from ServiceConfig or the RSHC_SERVE_* environment
@@ -28,10 +29,10 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "rshc/common/mutex.hpp"
+#include "rshc/parallel/monitor.hpp"
 #include "rshc/parallel/thread_pool.hpp"
 #include "rshc/serve/job.hpp"
 
@@ -61,7 +62,8 @@ struct ServiceConfig {
 
 /// ServiceConfig with RSHC_SERVE_WORKERS / RSHC_SERVE_QUEUE_CAP /
 /// RSHC_SERVE_ZONE_BUDGET / RSHC_SERVE_STALL_MS / RSHC_SERVE_CKPT_DIR
-/// applied over the defaults (unset or malformed entries keep defaults).
+/// applied over the defaults (unset entries keep defaults; a malformed
+/// integer throws rshc::Error naming the variable and its value).
 [[nodiscard]] ServiceConfig service_config_from_env();
 
 class SimulationService {
@@ -111,7 +113,9 @@ class SimulationService {
 
   void worker_loop() RSHC_EXCLUDES(mutex_);
   void run_job(const JobPtr& job) RSHC_EXCLUDES(mutex_);
-  void monitor_loop() RSHC_EXCLUDES(mutex_);
+  void scan_stalls() RSHC_EXCLUDES(mutex_);
+  [[nodiscard]] JobStatus status_of(const Job& job) const
+      RSHC_REQUIRES(mutex_);
 
   ServiceConfig cfg_;
 
@@ -136,12 +140,8 @@ class SimulationService {
   std::int64_t resumed_ RSHC_GUARDED_BY(mutex_) = 0;
   std::int64_t stalled_ RSHC_GUARDED_BY(mutex_) = 0;
 
-  // Stall monitor plumbing (separate mutex: the monitor CV wait must not
-  // hold mutex_ between scans).
-  Mutex monitor_mutex_;
-  std::condition_variable monitor_cv_;
-  bool monitor_stop_ RSHC_GUARDED_BY(monitor_mutex_) = false;
-  std::thread monitor_;
+  /// scan_stalls() on parallel::Monitor::global(); 0 = stall_timeout off.
+  parallel::Monitor::ProbeId stall_probe_ = 0;
 
   // Declared last so any future member initialization precedes worker
   // startup; shutdown() quiesces workers before reset() joins them.

@@ -2,21 +2,16 @@
 
 #include <algorithm>
 #include <bit>
-#include <cstdlib>
+#include <cstdio>
 #include <sstream>
 #include <string>
+
+#include "rshc/common/env.hpp"
+#include "rshc/obs/journal.hpp"
 
 namespace rshc::obs {
 
 namespace {
-
-bool env_flag(const char* name, bool fallback) {
-  const char* v = std::getenv(name);
-  if (v == nullptr || *v == '\0') return fallback;
-  const std::string s(v);
-  if (s == "0" || s == "off" || s == "OFF" || s == "false") return false;
-  return true;
-}
 
 std::atomic<bool>& enabled_flag() {
   // relaxed: master on/off switch; a stale read drops or keeps one sample.
@@ -197,21 +192,27 @@ double Snapshot::value_or(std::string_view name,
   return e != nullptr ? e->value : fallback;
 }
 
-namespace {
-
-void json_escape_into(std::ostringstream& os, std::string_view s) {
-  for (const char ch : s) {
-    switch (ch) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      case '\t': os << "\\t"; break;
-      default: os << ch;
+// Here, not in journal.cpp: this TU is compiled in both RSHC_OBS builds.
+void journal::append_json_escaped(std::string& out, std::string_view s) {
+  for (const char c : s) {
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\t': out += "\\t"; break;
+      case '\r': out += "\\r"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof(buf), "\\u%04x",
+                        static_cast<unsigned>(static_cast<unsigned char>(c)));
+          out += buf;
+        } else {
+          out += c;
+        }
     }
   }
 }
-
-}  // namespace
 
 std::string Snapshot::to_json() const {
   std::ostringstream os;
@@ -221,9 +222,10 @@ std::string Snapshot::to_json() const {
   for (const auto& e : entries) {
     if (!first) os << ",";
     first = false;
-    os << "{\"name\":\"";
-    json_escape_into(os, e.name);
-    os << "\",\"kind\":\"" << e.kind << "\",\"value\":" << e.value;
+    std::string name;
+    journal::append_json_escaped(name, e.name);
+    os << "{\"name\":\"" << name << "\",\"kind\":\"" << e.kind
+       << "\",\"value\":" << e.value;
     if (e.kind == "timer") {
       os << ",\"count\":" << e.count << ",\"min\":" << e.min
          << ",\"max\":" << e.max << ",\"p50\":" << e.p50

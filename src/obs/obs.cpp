@@ -1,24 +1,13 @@
 #include "rshc/obs/obs.hpp"
 
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
 
+#include "rshc/common/env.hpp"
 #include "rshc/obs/report.hpp"
 
 namespace rshc::obs {
-
-namespace {
-
-bool env_on(const char* name) {
-  const char* v = std::getenv(name);
-  if (v == nullptr || *v == '\0') return false;
-  const std::string s(v);
-  return !(s == "0" || s == "off" || s == "OFF" || s == "false");
-}
-
-}  // namespace
 
 void maybe_dump(const std::string& prefix) {
   // Benches pass prefixes like "bench_results/<id>"; create the directory
@@ -29,7 +18,7 @@ void maybe_dump(const std::string& prefix) {
     std::error_code ec;
     std::filesystem::create_directories(parent, ec);
   }
-  if (env_on("RSHC_DUMP_METRICS")) {
+  if (env_flag("RSHC_DUMP_METRICS", false)) {
     const std::string path = prefix + ".metrics.csv";
     std::ofstream os(path);
     if (os.good()) {
@@ -37,12 +26,12 @@ void maybe_dump(const std::string& prefix) {
       std::cout << "[metrics: " << path << "]\n";
     }
   }
-  if (env_on("RSHC_DUMP_TRACE")) {
+  if (env_flag("RSHC_DUMP_TRACE", false)) {
     const std::string path = prefix + ".trace.json";
     Tracer::global().write_chrome_json_file(path);
     std::cout << "[trace: " << path << "]\n";
   }
-  if (env_on("RSHC_DUMP_REPORT")) {
+  if (env_flag("RSHC_DUMP_REPORT", false)) {
     const std::string path = prefix + ".report.json";
     report::RunReport rep;
     rep.suite = std::filesystem::path(prefix).filename().string();

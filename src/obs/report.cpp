@@ -9,6 +9,7 @@
 #include <unistd.h>
 
 #include "rshc/common/error.hpp"
+#include "rshc/obs/journal.hpp"
 #include "rshc/obs/trace.hpp"
 
 namespace rshc::obs::report {
@@ -33,21 +34,15 @@ HardwareProbe probe_hardware() {
 
 namespace {
 
-void json_escape_into(std::ostringstream& os, std::string_view s) {
-  for (const char ch : s) {
-    switch (ch) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      case '\t': os << "\\t"; break;
-      default: os << ch;
-    }
-  }
+void write_escaped(std::ostringstream& os, std::string_view s) {
+  std::string out;
+  journal::append_json_escaped(out, s);
+  os << out;
 }
 
 void phase_json_into(std::ostringstream& os, const PhaseStats& p) {
   os << "{\"name\":\"";
-  json_escape_into(os, p.name);
+  write_escaped(os, p.name);
   os << "\",\"count\":" << p.count << ",\"sum_s\":" << p.sum_s
      << ",\"min_s\":" << p.min_s << ",\"max_s\":" << p.max_s
      << ",\"p50_s\":" << p.p50_s << ",\"p90_s\":" << p.p90_s
@@ -68,16 +63,16 @@ std::string RunReport::to_json() const {
   os.precision(17);
   os << "{\"schema\":\"" << kSchemaName
      << "\",\"schema_version\":" << schema_version << ",\"suite\":\"";
-  json_escape_into(os, suite);
+  write_escaped(os, suite);
   os << "\",\"git_sha\":\"";
-  json_escape_into(os, git_sha);
+  write_escaped(os, git_sha);
   os << "\",\"build\":{\"type\":\"";
-  json_escape_into(os, build_type);
+  write_escaped(os, build_type);
   os << "\",\"flags\":\"";
-  json_escape_into(os, build_flags);
+  write_escaped(os, build_flags);
   os << "\"},\"hardware\":{\"threads\":" << hardware.hardware_threads
      << ",\"page_size\":" << hardware.page_size << ",\"cpu\":\"";
-  json_escape_into(os, hardware.cpu_model);
+  write_escaped(os, hardware.cpu_model);
   os << "\"},\"ranks\":" << ranks << ",\"phases\":[";
   bool first = true;
   for (const auto& p : phases) {
@@ -91,7 +86,7 @@ std::string RunReport::to_json() const {
     if (!first) os << ",";
     first = false;
     os << "{\"name\":\"";
-    json_escape_into(os, name);
+    write_escaped(os, name);
     os << "\",\"value\":" << value << "}";
   }
   os << "]}";

@@ -5,14 +5,12 @@
 #if RSHC_OBS_ENABLED
 
 #include <algorithm>
-#include <charconv>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <filesystem>
 
 #include "rshc/comm/communicator.hpp"
-#include "rshc/common/error.hpp"
+#include "rshc/common/env.hpp"
 #include "rshc/obs/journal.hpp"
 #include "rshc/obs/trace.hpp"
 #include "rshc/parallel/task_graph.hpp"
@@ -21,27 +19,6 @@
 namespace rshc::obs::telemetry {
 
 namespace {
-
-// Unset or empty -> fallback; anything but a whole int throws rshc::Error
-// naming the variable (a silently truncated "5s" or "abc" would turn a
-// watchdog timeout into 5 ms or 1 ms).
-int env_int(const char* name, int fallback) {
-  const char* v = std::getenv(name);
-  if (v == nullptr || *v == '\0') return fallback;
-  int x = 0;
-  const char* end = v + std::strlen(v);
-  const auto [ptr, ec] = std::from_chars(v, end, x);
-  RSHC_REQUIRE(ec == std::errc() && ptr == end,
-               std::string(name) + "='" + v + "' is not an integer");
-  return x;
-}
-
-bool env_off(const char* name) {
-  const char* v = std::getenv(name);
-  if (v == nullptr || *v == '\0') return false;
-  const std::string s(v);
-  return s == "0" || s == "off" || s == "OFF" || s == "false";
-}
 
 // Last heartbeat: low-frequency writes; mutex and payload travel together
 // so the guarded-by relation is expressible.
@@ -75,7 +52,7 @@ std::vector<std::string> default_counter_tracks() {
 
 SamplerOptions sampler_options_from_env() {
   SamplerOptions opt;
-  opt.enabled = !env_off("RSHC_TELEMETRY");
+  opt.enabled = env_flag("RSHC_TELEMETRY", true);
   opt.interval = std::chrono::milliseconds(std::max(
       1, env_int("RSHC_TELEMETRY_INTERVAL_MS", kDefaultIntervalMs)));
   const char* out = std::getenv("RSHC_TELEMETRY_OUT");
@@ -138,7 +115,7 @@ void publish_heartbeat(std::int64_t step, double t, double dt,
     // service): letting it tick the global watchdog would mask another
     // job's stall, and letting it overwrite last_heartbeat() would smear
     // unrelated jobs' progress into one bogus stream. Per-job stall
-    // detection for scoped jobs lives in serve::SimulationService.
+    // detection for scoped jobs is serve::SimulationService's probe.
     if (scoped == nullptr) {
       {
         HbState& s = hb_state();
@@ -167,12 +144,7 @@ Sampler::Sampler(SamplerOptions opt) : opt_(std::move(opt)) {
   if (opt_.enabled && !opt_.jsonl_path.empty()) open_stream();
 }
 
-Sampler::~Sampler() {
-  stop();
-  LockGuard lock(mutex_);
-  if (stream_open_) os_.close();
-  stream_open_ = false;
-}
+Sampler::~Sampler() { stop(); }
 
 void Sampler::open_stream() {
   namespace fs = std::filesystem;
@@ -289,70 +261,42 @@ void Sampler::sample_now() {
         ring_[ring_next_] = std::move(s);
         ring_next_ = (ring_next_ + 1) % opt_.ring_capacity;
       }
-      ++ring_written_;
     }
   }
   if (stream_open_) os_.flush();
-  taken_.fetch_add(static_cast<std::int64_t>(taken.size()),
-                   std::memory_order_relaxed);
 }
 
 std::vector<Sample> Sampler::samples() const {
   LockGuard lock(mutex_);
   std::vector<Sample> out;
   out.reserve(ring_.size());
-  // Oldest-first: when wrapped, the oldest live sample sits at ring_next_.
+  // Oldest-first: the oldest live sample sits at ring_next_ (0 until the
+  // ring wraps).
   const std::size_t n = ring_.size();
-  const std::size_t start = ring_written_ > n ? ring_next_ : 0;
   for (std::size_t i = 0; i < n; ++i) {
-    out.push_back(ring_[(start + i) % n]);
+    out.push_back(ring_[(ring_next_ + i) % n]);
   }
   return out;
 }
 
 std::int64_t Sampler::samples_taken() const noexcept {
-  return taken_.load(std::memory_order_relaxed);
+  LockGuard lock(mutex_);
+  return seq_;  // every take numbers its samples from seq_
 }
 
 void Sampler::start() {
-  if (!opt_.enabled || thread_.joinable()) return;
-  {
-    LockGuard lock(mutex_);
-    stop_requested_ = false;
-  }
-  thread_ = std::thread([this] { loop(); });
+  if (!opt_.enabled || probe_ != 0) return;
+  probe_ = parallel::Monitor::global().add(opt_.interval,
+                                           [this] { sample_now(); });
 }
 
 void Sampler::stop() noexcept {
   // noexcept: shutdown path; sampling failure must not escape.
   try {
-    if (!thread_.joinable()) return;
-    {
-      LockGuard lock(mutex_);
-      stop_requested_ = true;
-    }
-    cv_.notify_all();
-    thread_.join();
+    if (probe_ == 0) return;
+    parallel::Monitor::global().remove(std::exchange(probe_, 0));
     // One final sample so short runs always record their end state.
     sample_now();
-  } catch (...) {
-  }
-}
-
-void Sampler::loop() {
-  // Thread entry: swallow rather than terminate on a sampling failure.
-  try {
-    for (;;) {
-      {
-        LockGuard lock(mutex_);
-        cv_.wait_for(lock.native_lock(), opt_.interval, [this] {
-          mutex_.assert_held();  // predicate runs under the wait's lock
-          return stop_requested_;
-        });
-        if (stop_requested_) return;
-      }
-      sample_now();
-    }
   } catch (...) {
   }
 }
@@ -387,68 +331,22 @@ std::int64_t Watchdog::stalls_detected() const noexcept {
 }
 
 void Watchdog::start() {
-  if (opt_.policy == WatchdogPolicy::kOff || thread_.joinable()) return;
-  {
-    LockGuard lock(mutex_);
-    stop_requested_ = false;
-  }
-  thread_ = std::thread([this] { loop(); });
+  if (opt_.policy == WatchdogPolicy::kOff || probe_ != 0) return;
+  latch_ = parallel::StallLatch(opt_.timeout);
+  // Pending work with no progress is a stall; nothing pending is idle.
+  probe_ = parallel::Monitor::global().add(latch_.period(), [this] {
+    const std::uint64_t progress = progress_signal();
+    if (const auto quiet = latch_.observe(progress, pending_work() > 0,
+                                          parallel::Monitor::Clock::now())) {
+      fire(std::chrono::duration_cast<std::chrono::milliseconds>(*quiet)
+               .count());
+    }
+  });
 }
 
 void Watchdog::stop() noexcept {
-  // noexcept: shutdown path (same policy as Sampler::stop).
-  try {
-    if (!thread_.joinable()) return;
-    {
-      LockGuard lock(mutex_);
-      stop_requested_ = true;
-    }
-    cv_.notify_all();
-    thread_.join();
-  } catch (...) {
-  }
-}
-
-void Watchdog::loop() {
-  // Thread entry: swallow rather than terminate on a diagnostic failure.
-  try {
-    const auto poll =
-        opt_.poll.count() > 0
-            ? opt_.poll
-            : std::max(std::chrono::milliseconds(10), opt_.timeout / 4);
-    std::uint64_t last_progress = progress_signal();
-    auto last_change = std::chrono::steady_clock::now();
-    for (;;) {
-      {
-        LockGuard lock(mutex_);
-        cv_.wait_for(lock.native_lock(), poll, [this] {
-          mutex_.assert_held();  // predicate runs under the wait's lock
-          return stop_requested_;
-        });
-        if (stop_requested_) return;
-      }
-      const std::uint64_t p = progress_signal();
-      const auto now = std::chrono::steady_clock::now();
-      if (p != last_progress) {
-        last_progress = p;
-        last_change = now;
-        continue;
-      }
-      if (pending_work() <= 0) {
-        // Nothing visibly pending: idle, not stalled.
-        last_change = now;
-        continue;
-      }
-      const auto idle = now - last_change;
-      if (idle >= opt_.timeout) {
-        fire(std::chrono::duration_cast<std::chrono::milliseconds>(idle)
-                 .count());
-        // Re-arm: the next firing needs another full quiet timeout.
-        last_change = now;
-      }
-    }
-  } catch (...) {
-  }
+  if (probe_ == 0) return;
+  parallel::Monitor::global().remove(std::exchange(probe_, 0));
 }
 
 void Watchdog::fire(std::int64_t idle_ms) {

@@ -4,10 +4,10 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <ostream>
 
+#include "rshc/common/env.hpp"
 #include "rshc/common/error.hpp"
 #include "rshc/obs/metrics.hpp"
 
@@ -17,12 +17,7 @@ namespace {
 
 std::atomic<bool>& tracing_flag() {
   // relaxed: tracing on/off switch; a stale read drops or keeps one span.
-  static std::atomic<bool> flag{[] {
-    const char* v = std::getenv("RSHC_TRACE");
-    if (v == nullptr || *v == '\0') return false;
-    const std::string s(v);
-    return !(s == "0" || s == "off" || s == "OFF" || s == "false");
-  }()};
+  static std::atomic<bool> flag{env_flag("RSHC_TRACE", false)};
   return flag;
 }
 

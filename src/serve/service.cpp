@@ -8,8 +8,10 @@
 #include <filesystem>
 #include <string>
 #include <system_error>
+#include <thread>
 #include <utility>
 
+#include "rshc/common/env.hpp"
 #include "rshc/common/error.hpp"
 #include "rshc/common/log.hpp"
 #include "rshc/obs/obs.hpp"
@@ -33,19 +35,8 @@ using rshc::obs::journal::Field;
 namespace rshc::serve {
 namespace {
 
-[[nodiscard]] std::int64_t steady_now_ns() {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
-[[nodiscard]] long long env_ll(const char* name, long long fallback) {
-  const char* s = std::getenv(name);
-  if (s == nullptr || *s == '\0') return fallback;
-  char* end = nullptr;
-  const long long v = std::strtoll(s, &end, 10);
-  return (end == s || *end != '\0') ? fallback : v;
-}
+using Clock = parallel::Monitor::Clock;
+using Millis = std::chrono::duration<double, std::milli>;
 
 [[nodiscard]] bool terminal(JobState s) {
   return s == JobState::kCompleted || s == JobState::kFailed ||
@@ -95,15 +86,15 @@ std::string_view job_state_name(JobState s) {
 ServiceConfig service_config_from_env() {
   ServiceConfig cfg;
   cfg.workers = static_cast<unsigned>(std::max(
-      1LL, env_ll("RSHC_SERVE_WORKERS", static_cast<long long>(cfg.workers))));
+      1LL, env_int("RSHC_SERVE_WORKERS", static_cast<long long>(cfg.workers))));
   cfg.queue_capacity = static_cast<std::size_t>(
-      std::max(1LL, env_ll("RSHC_SERVE_QUEUE_CAP",
-                           static_cast<long long>(cfg.queue_capacity))));
-  cfg.zone_budget = std::max(1LL, env_ll("RSHC_SERVE_ZONE_BUDGET",
-                                         cfg.zone_budget));
-  cfg.stall_timeout = std::chrono::milliseconds(
-      std::max(0LL, env_ll("RSHC_SERVE_STALL_MS",
-                           static_cast<long long>(cfg.stall_timeout.count()))));
+      std::max(1LL, env_int("RSHC_SERVE_QUEUE_CAP",
+                            static_cast<long long>(cfg.queue_capacity))));
+  cfg.zone_budget =
+      std::max(1LL, env_int("RSHC_SERVE_ZONE_BUDGET", cfg.zone_budget));
+  cfg.stall_timeout = std::chrono::milliseconds(std::max(
+      0LL, env_int("RSHC_SERVE_STALL_MS",
+                   static_cast<long long>(cfg.stall_timeout.count()))));
   if (const char* dir = std::getenv("RSHC_SERVE_CKPT_DIR");
       dir != nullptr && *dir != '\0') {
     cfg.checkpoint_dir = dir;
@@ -124,9 +115,9 @@ struct SimulationService::Job {
   int resumes = 0;
   int stalls = 0;
   bool has_checkpoint = false;  ///< eviction checkpoint exists on disk
-  bool stall_fired = false;     ///< one-shot latch per stall episode
+  parallel::StallLatch stall;   ///< fed steps_done by scan_stalls()
   std::int64_t seq = 0;         ///< FIFO order within a priority class
-  std::int64_t submit_ns = 0;
+  Clock::time_point submitted;
   double latency_ms = -1.0;
   double l1_error = -1.0;
   std::string message;
@@ -137,9 +128,6 @@ struct SimulationService::Job {
   // relaxed: set by submit()/preempt(), polled by the runner at step
   // boundaries; a one-step delay in visibility is acceptable.
   std::atomic<bool> preempt_requested{false};
-  // relaxed: steady-clock stamp of the last completed step, read by the
-  // stall monitor; staleness of one poll interval is inherent anyway.
-  std::atomic<std::int64_t> last_progress_ns{0};
 
 #if RSHC_OBS_ENABLED
   /// Per-job metrics registry, installed thread-locally while the job's
@@ -158,21 +146,16 @@ SimulationService::SimulationService(ServiceConfig cfg) : cfg_(std::move(cfg)) {
     pool_->enqueue([this] { worker_loop(); });
   }
   if (cfg_.stall_timeout.count() > 0) {
-    monitor_ = std::thread([this] { monitor_loop(); });
+    stall_probe_ = parallel::Monitor::global().add(
+        parallel::StallLatch(cfg_.stall_timeout).period(),
+        [this] { scan_stalls(); });
   }
 }
 
 SimulationService::~SimulationService() {
   shutdown();
   pool_.reset();  // joins workers; running jobs drain first
-  if (monitor_.joinable()) {
-    {
-      LockGuard lock(monitor_mutex_);
-      monitor_stop_ = true;
-    }
-    monitor_cv_.notify_all();
-    monitor_.join();
-  }
+  if (stall_probe_ != 0) parallel::Monitor::global().remove(stall_probe_);
 }
 
 Admission SimulationService::submit(const JobSpec& spec) {
@@ -224,8 +207,8 @@ Admission SimulationService::submit(const JobSpec& spec) {
       job->zones = zones;
       job->ckpt_path =
           cfg_.checkpoint_dir + "/job_" + std::to_string(id) + ".ckpt";
-      job->submit_ns = steady_now_ns();
-      job->last_progress_ns.store(job->submit_ns, std::memory_order_relaxed);
+      job->submitted = Clock::now();
+      job->stall = parallel::StallLatch(cfg_.stall_timeout);
       job->seq = next_seq_++;
       jobs_.emplace(id, job);
       queue_.push_back(job);
@@ -298,8 +281,6 @@ void SimulationService::worker_loop() {
       job = *best;
       queue_.erase(best);
       job->state = JobState::kRunning;
-      job->stall_fired = false;
-      job->last_progress_ns.store(steady_now_ns(), std::memory_order_relaxed);
       ++running_;
     }
     run_job(job);
@@ -355,8 +336,6 @@ void SimulationService::run_job(const JobPtr& job) {
         }
         engine->step();
         job->steps_done.fetch_add(1, std::memory_order_relaxed);
-        job->last_progress_ns.store(steady_now_ns(),
-                                    std::memory_order_relaxed);
       }
       if (!preempt_now) {
         if (job->spec.validate) {
@@ -399,8 +378,7 @@ void SimulationService::run_job(const JobPtr& job) {
     LockGuard lock(mutex_);
     --running_;
     job->l1_error = l1;
-    latency_ms =
-        static_cast<double>(steady_now_ns() - job->submit_ns) / 1.0e6;
+    latency_ms = Millis(Clock::now() - job->submitted).count();
     job->latency_ms = latency_ms;
     if (ok) {
       job->state = JobState::kCompleted;
@@ -427,100 +405,39 @@ void SimulationService::run_job(const JobPtr& job) {
   done_cv_.notify_all();
 }
 
-void SimulationService::monitor_loop() {
-  const std::int64_t timeout_ns =
-      std::chrono::duration_cast<std::chrono::nanoseconds>(cfg_.stall_timeout)
-          .count();
-  const auto poll = std::max(std::chrono::milliseconds(10),
-                             cfg_.stall_timeout / 4);
-  for (;;) {
-    {
-      LockGuard lock(monitor_mutex_);
-      const bool stop =
-          monitor_cv_.wait_for(lock.native_lock(), poll, [&] {
-            monitor_mutex_.assert_held();
-            return monitor_stop_;
-          });
-      if (stop) return;
+void SimulationService::scan_stalls() {
+  struct Fired {
+    JobId id = kInvalidJob;
+    std::string name;
+    double idle_ms = 0.0;
+  };
+  std::vector<Fired> fired;
+  const auto now = Clock::now();
+  {
+    LockGuard lock(mutex_);
+    for (auto& [id, job] : jobs_) {
+      // Only a running job is busy: a queued job is idle by design and
+      // must neither fire a stall nor mask a later real one.
+      const auto quiet =
+          job->stall.observe(job->steps_done.load(std::memory_order_relaxed),
+                             job->state == JobState::kRunning, now);
+      if (!quiet) continue;
+      ++job->stalls;
+      ++stalled_;
+      fired.push_back({id, job->spec.name, Millis(*quiet).count()});
     }
-    struct Fired {
-      JobId id = kInvalidJob;
-      std::string name;
-      double idle_ms = 0.0;
-    };
-    std::vector<Fired> fired;
-    const std::int64_t now = steady_now_ns();
-    {
-      LockGuard lock(mutex_);
-      for (auto& [id, job] : jobs_) {
-        // Only running jobs are eligible: a queued job is idle by design
-        // and must neither fire a stall nor latch stall_fired in a way
-        // that would mask a later real stall.
-        if (job->state != JobState::kRunning) continue;
-        const std::int64_t idle =
-            now - job->last_progress_ns.load(std::memory_order_relaxed);
-        if (idle < timeout_ns) {
-          job->stall_fired = false;  // progress resumed; re-arm
-          continue;
-        }
-        if (job->stall_fired) continue;  // one warning per episode
-        job->stall_fired = true;
-        ++job->stalls;
-        ++stalled_;
-        fired.push_back(
-            {id, job->spec.name, static_cast<double>(idle) / 1.0e6});
-      }
-    }
-    for (const auto& f : fired) {
-      RSHC_SERVE_JOURNAL("job_stall", {Field("job", f.id),
-                                       Field("name", f.name),
-                                       Field("idle_ms", f.idle_ms)});
-      static log::RateLimit limit(std::chrono::milliseconds(1000));
-      log::warn_limited(limit, "serve: job ", f.id, " (", f.name,
-                        ") made no step progress for ", f.idle_ms, " ms");
-    }
+  }
+  for (const auto& f : fired) {
+    RSHC_SERVE_JOURNAL("job_stall", {Field("job", f.id),
+                                     Field("name", f.name),
+                                     Field("idle_ms", f.idle_ms)});
+    static log::RateLimit limit(std::chrono::milliseconds(1000));
+    log::warn_limited(limit, "serve: job ", f.id, " (", f.name,
+                      ") made no step progress for ", f.idle_ms, " ms");
   }
 }
 
-JobStatus SimulationService::wait(JobId id) {
-  LockGuard lock(mutex_);
-  auto it = jobs_.find(id);
-  RSHC_REQUIRE(it != jobs_.end(),
-               "unknown job id " + std::to_string(id));
-  const JobPtr job = it->second;
-  done_cv_.wait(lock.native_lock(), [&] {
-    mutex_.assert_held();
-    return terminal(job->state);
-  });
-  JobStatus st;
-  st.id = job->id;
-  st.name = job->spec.name;
-  st.state = job->state;
-  st.priority = job->spec.priority;
-  st.steps_done = job->steps_done.load(std::memory_order_relaxed);
-  st.steps_total = job->spec.steps;
-  st.preempts = job->preempts;
-  st.resumes = job->resumes;
-  st.stalls = job->stalls;
-  st.latency_ms = job->latency_ms;
-  st.l1_error = job->l1_error;
-  st.message = job->message;
-  return st;
-}
-
-void SimulationService::wait_idle() {
-  LockGuard lock(mutex_);
-  done_cv_.wait(lock.native_lock(), [&] {
-    mutex_.assert_held();
-    return queue_.empty() && running_ == 0;
-  });
-}
-
-std::optional<JobStatus> SimulationService::status(JobId id) const {
-  LockGuard lock(mutex_);
-  auto it = jobs_.find(id);
-  if (it == jobs_.end()) return std::nullopt;
-  const Job& job = *it->second;
+JobStatus SimulationService::status_of(const Job& job) const {
   JobStatus st;
   st.id = job.id;
   st.name = job.spec.name;
@@ -537,18 +454,39 @@ std::optional<JobStatus> SimulationService::status(JobId id) const {
   return st;
 }
 
+JobStatus SimulationService::wait(JobId id) {
+  LockGuard lock(mutex_);
+  auto it = jobs_.find(id);
+  RSHC_REQUIRE(it != jobs_.end(),
+               "unknown job id " + std::to_string(id));
+  const JobPtr job = it->second;
+  done_cv_.wait(lock.native_lock(), [&] {
+    mutex_.assert_held();
+    return terminal(job->state);
+  });
+  return status_of(*job);
+}
+
+void SimulationService::wait_idle() {
+  LockGuard lock(mutex_);
+  done_cv_.wait(lock.native_lock(), [&] {
+    mutex_.assert_held();
+    return queue_.empty() && running_ == 0;
+  });
+}
+
+std::optional<JobStatus> SimulationService::status(JobId id) const {
+  LockGuard lock(mutex_);
+  auto it = jobs_.find(id);
+  if (it == jobs_.end()) return std::nullopt;
+  return status_of(*it->second);
+}
+
 std::vector<JobStatus> SimulationService::statuses() const {
-  std::vector<JobId> ids;
-  {
-    LockGuard lock(mutex_);
-    ids.reserve(jobs_.size());
-    for (const auto& [id, job] : jobs_) ids.push_back(id);
-  }
+  LockGuard lock(mutex_);
   std::vector<JobStatus> out;
-  out.reserve(ids.size());
-  for (JobId id : ids) {
-    if (auto st = status(id)) out.push_back(std::move(*st));
-  }
+  out.reserve(jobs_.size());
+  for (const auto& [id, job] : jobs_) out.push_back(status_of(*job));
   return out;
 }
 
@@ -577,8 +515,7 @@ void SimulationService::shutdown() {
     stopping_ = true;
     for (auto& job : queue_) {
       job->state = JobState::kCancelled;
-      job->latency_ms =
-          static_cast<double>(steady_now_ns() - job->submit_ns) / 1.0e6;
+      job->latency_ms = Millis(Clock::now() - job->submitted).count();
       zones_admitted_ -= job->zones;
       ++cancelled_;
       cancelled.push_back(job);

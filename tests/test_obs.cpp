@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "rshc/obs/obs.hpp"
+#include "rshc/obs/report.hpp"
 #include "support/json_mini.hpp"
 #include "support/trace_validator.hpp"
 
@@ -174,6 +175,28 @@ TEST_F(ObsTest, SnapshotSerializesSortedCsvAndJson) {
     }
   }
   EXPECT_TRUE(saw_timer);
+}
+
+TEST_F(ObsTest, JsonWritersEscapeEveryControlByte) {
+  // Python's json.loads (tools/perf_report.py) rejects raw control bytes
+  // inside strings, so both to_json writers must escape all of them.
+  const std::string name = "t.esc\r\x01";
+  obs::Registry::global().counter(name).add(1);
+  obs::report::RunReport rep;
+  obs::report::PhaseStats phase;
+  phase.name = name;
+  rep.phases.push_back(phase);
+  rep.counters.emplace_back(name, 1.0);
+  for (const std::string& json :
+       {obs::Registry::global().snapshot().to_json(), rep.to_json()}) {
+    for (const char c : json) {
+      EXPECT_GE(static_cast<unsigned char>(c), 0x20) << json;
+    }
+    EXPECT_NE(json.find("t.esc\\r\\u0001"), std::string::npos) << json;
+    JsonParser parser(json);
+    (void)parser.parse();
+    EXPECT_TRUE(parser.ok()) << parser.error();
+  }
 }
 
 TEST_F(ObsTest, RuntimeDisableStopsAccumulationViaMacros) {

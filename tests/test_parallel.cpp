@@ -1,20 +1,26 @@
-// Unit tests for the shared-memory runtime: ThreadPool and TaskGraph.
+// Unit tests for the shared-memory runtime: ThreadPool, TaskGraph, and the
+// progress Monitor with its StallLatch rule.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <mutex>
 #include <numeric>
 #include <stdexcept>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "rshc/common/error.hpp"
+#include "rshc/parallel/monitor.hpp"
 #include "rshc/parallel/task_graph.hpp"
 #include "rshc/parallel/thread_pool.hpp"
 
 namespace {
 
 using namespace rshc::parallel;
+using namespace std::chrono_literals;
 
 TEST(ThreadPool, SubmitReturnsResult) {
   ThreadPool pool(2);
@@ -207,10 +213,12 @@ TEST(TaskGraph, WideFanOutAndIn) {
 
 TEST(TaskGraph, RunInlineFollowsCreationOrderOnCallingThread) {
   TaskGraph g;
+  std::mutex m;  // the pool run below fires nodes 1 and 2 concurrently
   std::vector<int> order;
   std::vector<std::thread::id> threads;
   auto node = [&](int id) {
-    return [&order, &threads, id] {
+    return [&m, &order, &threads, id] {
+      const std::lock_guard<std::mutex> lock(m);
       order.push_back(id);
       threads.push_back(std::this_thread::get_id());
     };
@@ -259,6 +267,121 @@ TEST(TaskGraph, RunInlineStopsAtFirstExceptionAndRethrows) {
   ran.clear();
   EXPECT_THROW(g.run_inline(), std::runtime_error);
   EXPECT_EQ(ran, (std::vector<int>{0, 1}));
+}
+
+// --- Monitor / StallLatch ----------------------------------------------
+
+/// Registers a probe on the process monitor for one test scope. Declare it
+/// after the state its probe touches, so the probe is gone first.
+class ScopedProbe {
+ public:
+  ScopedProbe(Monitor::Clock::duration period, Monitor::Probe fn)
+      : id_(Monitor::global().add(period, std::move(fn))) {}
+  ~ScopedProbe() { Monitor::global().remove(id_); }
+  ScopedProbe(const ScopedProbe&) = delete;
+  ScopedProbe& operator=(const ScopedProbe&) = delete;
+  [[nodiscard]] Monitor::ProbeId id() const { return id_; }
+
+ private:
+  Monitor::ProbeId id_;
+};
+
+/// Poll `done` every millisecond for up to five seconds.
+template <typename Pred>
+bool eventually(Pred done) {
+  const auto deadline = std::chrono::steady_clock::now() + 5s;
+  while (!done()) {
+    if (std::chrono::steady_clock::now() > deadline) return false;
+    std::this_thread::sleep_for(1ms);
+  }
+  return true;
+}
+
+TEST(Monitor, TwoProbesRunOnTheSameBackgroundThread) {
+  std::mutex m;
+  std::vector<std::thread::id> seen_a;
+  std::vector<std::thread::id> seen_b;
+  ScopedProbe a(1ms, [&] {
+    const std::lock_guard<std::mutex> lock(m);
+    seen_a.push_back(std::this_thread::get_id());
+  });
+  ScopedProbe b(2ms, [&] {
+    const std::lock_guard<std::mutex> lock(m);
+    seen_b.push_back(std::this_thread::get_id());
+  });
+  EXPECT_NE(a.id(), b.id());
+  ASSERT_TRUE(eventually([&] {
+    const std::lock_guard<std::mutex> lock(m);
+    return seen_a.size() >= 3 && seen_b.size() >= 3;
+  }));
+  const std::lock_guard<std::mutex> lock(m);
+  const std::thread::id probe_thread = seen_a.front();
+  EXPECT_NE(probe_thread, std::this_thread::get_id());
+  for (const auto& id : seen_a) EXPECT_EQ(id, probe_thread);
+  for (const auto& id : seen_b) EXPECT_EQ(id, probe_thread);
+}
+
+TEST(Monitor, RemoveWaitsForInFlightProbeWhichNeverRunsAgain) {
+  std::atomic<int> runs{0};
+  std::atomic<bool> release{false};
+  std::atomic<bool> returned{false};
+  std::atomic<bool> removed{false};
+  ScopedProbe probe(1ms, [&] {
+    runs.fetch_add(1);
+    while (!release.load()) std::this_thread::sleep_for(1ms);
+    returned.store(true);
+  });
+  ASSERT_TRUE(eventually([&] { return runs.load() == 1; }));
+  std::thread remover([&] {
+    Monitor::global().remove(probe.id());
+    removed.store(true);
+  });
+  std::this_thread::sleep_for(30ms);
+  EXPECT_FALSE(removed.load()) << "remove() returned mid-probe";
+  release.store(true);
+  remover.join();
+  EXPECT_TRUE(returned.load());
+  std::this_thread::sleep_for(20ms);
+  EXPECT_EQ(runs.load(), 1);
+  // ~ScopedProbe removes the id again: an unknown id is a no-op.
+}
+
+TEST(Monitor, ThrowingProbeDoesNotStopTheOthers) {
+  std::atomic<int> throws{0};
+  std::atomic<int> ticks{0};
+  ScopedProbe failing(1ms, [&] {
+    throws.fetch_add(1);
+    throw std::runtime_error("probe failed");
+  });
+  ScopedProbe healthy(1ms, [&] { ticks.fetch_add(1); });
+  EXPECT_TRUE(
+      eventually([&] { return throws.load() >= 3 && ticks.load() >= 3; }));
+}
+
+TEST(StallLatch, FiresOncePerBusyEpisodeAndReArmsOnProgressAndIdle) {
+  StallLatch latch(100ms);
+  const auto t0 = Monitor::Clock::now();
+  // A busy episode with no progress fires once, at the timeout.
+  EXPECT_FALSE(latch.observe(7, true, t0).has_value());
+  EXPECT_FALSE(latch.observe(7, true, t0 + 99ms).has_value());
+  const auto quiet = latch.observe(7, true, t0 + 100ms);
+  ASSERT_TRUE(quiet.has_value());
+  EXPECT_EQ(*quiet, 100ms);
+  EXPECT_FALSE(latch.observe(7, true, t0 + 1s).has_value());
+  EXPECT_FALSE(latch.observe(7, true, t0 + 5s).has_value());
+
+  // Progress re-arms: the quiet time restarts at the change.
+  EXPECT_FALSE(latch.observe(8, true, t0 + 6s).has_value());
+  EXPECT_FALSE(latch.observe(8, true, t0 + 6s + 99ms).has_value());
+  EXPECT_TRUE(latch.observe(8, true, t0 + 6s + 150ms).has_value());
+
+  // Idle never fires and re-arms: the next busy observation starts a new
+  // episode even though the progress counter has not moved.
+  EXPECT_FALSE(latch.observe(8, false, t0 + 7s).has_value());
+  EXPECT_FALSE(latch.observe(8, false, t0 + 60s).has_value());
+  EXPECT_FALSE(latch.observe(8, true, t0 + 61s).has_value());
+  EXPECT_FALSE(latch.observe(8, true, t0 + 61s + 99ms).has_value());
+  EXPECT_TRUE(latch.observe(8, true, t0 + 61s + 100ms).has_value());
 }
 
 }  // namespace

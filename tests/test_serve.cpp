@@ -7,6 +7,8 @@
 
 #include <chrono>
 #include <cstdint>
+#include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -352,6 +354,123 @@ TEST(ServeStallMonitor, FlagsRunningJobButNotQueuedOne) {
   EXPECT_GE(slow_st.stalls, 1);
   EXPECT_EQ(queued_st.stalls, 0);
   EXPECT_GE(svc.stats().stalled, slow_st.stalls);
+}
+
+#if RSHC_OBS_ENABLED
+
+std::size_t process_threads() {
+  std::size_t n = 0;
+  for (const auto& task :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    (void)task;
+    ++n;
+  }
+  return n;
+}
+
+TEST(ServeStallMonitor, SharesOneMonitorThreadWithSamplerAndWatchdog) {
+  if (!std::filesystem::exists("/proc/self/task")) {
+    GTEST_SKIP() << "no /proc/self/task on this platform";
+  }
+  constexpr unsigned kWorkers = 3;
+  // Sanitizer runtimes start a helper thread along with the first thread
+  // a process creates; let that happen before taking the baseline.
+  std::thread([] {}).join();
+  const std::size_t before = process_threads();
+
+  obs::telemetry::SamplerOptions sopt;
+  sopt.interval = 5ms;
+  obs::telemetry::Sampler sampler(sopt);
+  sampler.start();
+  obs::telemetry::WatchdogOptions wopt;
+  wopt.policy = obs::telemetry::WatchdogPolicy::kWarn;
+  wopt.timeout = 200ms;
+  obs::telemetry::Watchdog dog(wopt);
+  dog.start();
+  auto cfg = test_config("one_monitor");
+  cfg.workers = kWorkers;
+  cfg.stall_timeout = 60ms;
+  serve::SimulationService svc(cfg);
+
+  // Sampler, watchdog and the per-job stall scan are probes on one
+  // monitor thread: the only other threads are the service's workers.
+  const std::size_t during = process_threads();
+  EXPECT_GE(during, before + kWorkers);
+  EXPECT_LE(during, before + kWorkers + 1);
+
+  // ...and the probes really run there: the sampler samples, and the
+  // stall probe still flags a crawling job.
+  serve::JobSpec crawler;
+  crawler.problem = "sod";
+  crawler.resolution = 32;
+  crawler.steps = 2;
+  crawler.step_delay_ms = 250;
+  const auto a = svc.submit(crawler);
+  ASSERT_TRUE(a.admitted);
+  EXPECT_GE(svc.wait(a.id).stalls, 1);
+  EXPECT_GT(sampler.samples_taken(), 0);
+  dog.stop();
+  sampler.stop();
+}
+
+#endif  // RSHC_OBS_ENABLED
+
+// --- environment configuration -----------------------------------------
+
+TEST(ServeConfig, EnvParsingRejectsMalformedIntegers) {
+  const char* const ints[] = {"RSHC_SERVE_WORKERS", "RSHC_SERVE_QUEUE_CAP",
+                              "RSHC_SERVE_ZONE_BUDGET", "RSHC_SERVE_STALL_MS"};
+  for (const char* var : ints) ::unsetenv(var);
+  ::unsetenv("RSHC_SERVE_CKPT_DIR");
+  const serve::ServiceConfig ref;
+  const serve::ServiceConfig def = serve::service_config_from_env();
+  EXPECT_EQ(def.workers, ref.workers);
+  EXPECT_EQ(def.queue_capacity, ref.queue_capacity);
+  EXPECT_EQ(def.zone_budget, ref.zone_budget);
+  EXPECT_EQ(def.stall_timeout, ref.stall_timeout);
+  EXPECT_EQ(def.checkpoint_dir, ref.checkpoint_dir);
+
+  ::setenv("RSHC_SERVE_WORKERS", "4", 1);
+  ::setenv("RSHC_SERVE_QUEUE_CAP", "9", 1);
+  ::setenv("RSHC_SERVE_ZONE_BUDGET", "100000", 1);
+  ::setenv("RSHC_SERVE_STALL_MS", "250", 1);
+  ::setenv("RSHC_SERVE_CKPT_DIR", "ckpt_here", 1);
+  const serve::ServiceConfig set = serve::service_config_from_env();
+  EXPECT_EQ(set.workers, 4u);
+  EXPECT_EQ(set.queue_capacity, 9u);
+  EXPECT_EQ(set.zone_budget, 100000);
+  EXPECT_EQ(set.stall_timeout, 250ms);
+  EXPECT_EQ(set.checkpoint_dir, "ckpt_here");
+  ::unsetenv("RSHC_SERVE_CKPT_DIR");
+
+  // Out-of-range but well-formed values are clamped, as before.
+  ::setenv("RSHC_SERVE_WORKERS", "0", 1);
+  ::setenv("RSHC_SERVE_STALL_MS", "-5", 1);
+  EXPECT_EQ(serve::service_config_from_env().workers, 1u);
+  EXPECT_EQ(serve::service_config_from_env().stall_timeout, 0ms);
+
+  // Malformed integers fail loudly, naming the variable and its value,
+  // instead of silently keeping the default ("4x" must not mean 2 workers).
+  for (const char* var : ints) {
+    ::setenv(var, "1", 1);
+  }
+  for (const char* var : ints) {
+    for (const char* bad : {"4x", "abc", " 3", "1e3",
+                            "99999999999999999999"}) {
+      ::setenv(var, bad, 1);
+      try {
+        (void)serve::service_config_from_env();
+        ADD_FAILURE() << var << "=" << bad << " accepted";
+      } catch (const rshc::Error& e) {
+        const std::string msg = e.what();
+        EXPECT_NE(msg.find(var), std::string::npos) << msg;
+        EXPECT_NE(msg.find("'" + std::string(bad) + "'"), std::string::npos)
+            << msg;
+      }
+    }
+    ::setenv(var, "1", 1);
+  }
+  for (const char* var : ints) ::unsetenv(var);
 }
 
 // --- per-job isolation (obs builds only) -------------------------------
