@@ -140,10 +140,10 @@ int main() {
     const double r_simd = rate(kN, k.simd_fn);
     // Accelerator: kernel time == simd time on its stream worker plus
     // launch overhead; staging adds the modeled link cost.
-    auto accel = device::make_device(device::Backend::kAccelSim, model);
+    device::Device accel(model);
     WallTimer tk;
-    accel->launch(k.simd_fn, kN);
-    accel->synchronize();
+    accel.launch(k.simd_fn, kN);
+    accel.synchronize();
     const double accel_kernel = static_cast<double>(kN) / tk.seconds() / 1e6;
     const double staging_sec =
         2.0 * model.transfer_latency_sec +

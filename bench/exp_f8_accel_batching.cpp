@@ -74,15 +74,15 @@ int main() {
 
     // Staged: upload 5 arrays, run kernel, download 5 arrays — every call.
     device::AccelModel model;  // defaults: 10us latency, 12 GB/s, 8us launch
-    auto dev = device::make_device(device::Backend::kAccelSim, model);
+    device::Device dev(model);
     std::array<device::Buffer, 10> bufs;
-    for (auto& b : bufs) b = dev->alloc(n);
+    for (auto& b : bufs) b = dev.alloc(n);
     WallTimer ta;
-    dev->upload_async(in.d, bufs[0]);
-    dev->upload_async(in.sx, bufs[1]);
-    dev->upload_async(in.sy, bufs[2]);
-    dev->upload_async(in.sz, bufs[3]);
-    dev->upload_async(in.tau, bufs[4]);
+    dev.upload_async(in.d, bufs[0]);
+    dev.upload_async(in.sx, bufs[1]);
+    dev.upload_async(in.sy, bufs[2]);
+    dev.upload_async(in.sz, bufs[3]);
+    dev.upload_async(in.tau, bufs[4]);
     auto views = [&](int i) { return bufs[static_cast<std::size_t>(i)].device_view().data(); };
     const auto o = opt;
     auto kernel = [=] {
@@ -90,13 +90,13 @@ int main() {
           n, views(0), views(1), views(2), views(3), views(4), views(5),
           views(6), views(7), views(8), views(9), kGamma, o);
     };
-    dev->launch(kernel, n);
-    dev->download_async(bufs[5], rho);
-    dev->download_async(bufs[6], vx);
-    dev->download_async(bufs[7], vy);
-    dev->download_async(bufs[8], vz);
-    dev->download_async(bufs[9], p);
-    dev->synchronize();
+    dev.launch(kernel, n);
+    dev.download_async(bufs[5], rho);
+    dev.download_async(bufs[6], vx);
+    dev.download_async(bufs[7], vy);
+    dev.download_async(bufs[8], vz);
+    dev.download_async(bufs[9], p);
+    dev.synchronize();
     const double accel_sec = ta.seconds();
     const double accel_rate = static_cast<double>(n) / accel_sec / 1e6;
     const double transfer_sec =
@@ -109,12 +109,12 @@ int main() {
     // way — the FvSolver kDevice pipeline's steady-state cost.
     const std::size_t halo = bench::f8_halo_zones(n);
     std::vector<double> halo_host(halo, 1.0);
-    device::Buffer halo_buf = dev->alloc(halo);
+    device::Buffer halo_buf = dev.alloc(halo);
     WallTimer tr;
-    dev->download_async(halo_buf, halo_host);  // rims out
-    dev->upload_async(halo_host, halo_buf);    // ghosts back
-    dev->launch(kernel, n);
-    dev->synchronize();
+    dev.download_async(halo_buf, halo_host);  // rims out
+    dev.upload_async(halo_host, halo_buf);    // ghosts back
+    dev.launch(kernel, n);
+    dev.synchronize();
     const double resident_rate = static_cast<double>(n) / tr.seconds() / 1e6;
 
     table.add_row({static_cast<long long>(n), host_rate, accel_rate,

@@ -195,9 +195,9 @@ void run_f8_crossover(bool quick, std::int64_t kh_step_zones) {
     host_run();  // warm-up
     const double host_sec = best_seconds(reps, host_run);
 
-    auto dev = device::make_device(device::Backend::kAccelSim, {});
+    device::Device dev;
     std::array<device::Buffer, 10> bufs;
-    for (auto& buf : bufs) buf = dev->alloc(n);
+    for (auto& buf : bufs) buf = dev.alloc(n);
     auto view = [&](int i) {
       return bufs[static_cast<std::size_t>(i)].device_view().data();
     };
@@ -210,32 +210,32 @@ void run_f8_crossover(bool quick, std::int64_t kh_step_zones) {
 
     // Staged: the full state crosses the link in both directions per call.
     const double staged_sec = best_seconds(reps, [&] {
-      dev->upload_async(b.d, bufs[0]);
-      dev->upload_async(b.sx, bufs[1]);
-      dev->upload_async(b.sy, bufs[2]);
-      dev->upload_async(b.sz, bufs[3]);
-      dev->upload_async(b.tau, bufs[4]);
-      dev->launch(dev_kernel, n);
-      dev->download_async(bufs[5], b.o1);
-      dev->download_async(bufs[6], b.o2);
-      dev->download_async(bufs[7], b.o3);
-      dev->download_async(bufs[8], b.o4);
-      dev->download_async(bufs[9], b.o5);
-      dev->synchronize();
+      dev.upload_async(b.d, bufs[0]);
+      dev.upload_async(b.sx, bufs[1]);
+      dev.upload_async(b.sy, bufs[2]);
+      dev.upload_async(b.sz, bufs[3]);
+      dev.upload_async(b.tau, bufs[4]);
+      dev.launch(dev_kernel, n);
+      dev.download_async(bufs[5], b.o1);
+      dev.download_async(bufs[6], b.o2);
+      dev.download_async(bufs[7], b.o3);
+      dev.download_async(bufs[8], b.o4);
+      dev.download_async(bufs[9], b.o5);
+      dev.synchronize();
     });
 
     // Resident: state persists on the device (uploaded above); per call
     // only a halo slab moves, on the transfer stream while the kernel runs
     // on the compute stream — the kDevice pipeline's steady-state shape.
-    const device::StreamId transfer = dev->create_stream();
+    const device::StreamId transfer = dev.create_stream();
     const std::size_t halo = bench::f8_halo_zones(n);
     std::vector<double> halo_host(halo, 1.0);
-    device::Buffer halo_buf = dev->alloc(halo);
+    device::Buffer halo_buf = dev.alloc(halo);
     const double resident_sec = best_seconds(reps, [&] {
-      dev->download_async(halo_buf, halo_host, transfer);
-      dev->upload_async(halo_host, halo_buf, transfer);
-      dev->launch(dev_kernel, n);
-      dev->synchronize();
+      dev.download_async(halo_buf, halo_host, transfer);
+      dev.upload_async(halo_host, halo_buf, transfer);
+      dev.launch(dev_kernel, n);
+      dev.synchronize();
     });
 
     const auto batch = static_cast<std::int64_t>(n);

@@ -1,8 +1,7 @@
 #pragma once
-// Device-resident array of doubles. For host devices the buffer aliases
-// ordinary host memory; for the simulated accelerator it represents a
-// separate arena that host code must reach through explicit upload/download
-// calls (the Device enforces staging discipline).
+// Device-resident array of doubles. It represents the simulated
+// accelerator's separate arena: host code reaches it only through explicit
+// upload/download calls, kernels through device_view().
 
 #include <cstddef>
 #include <span>
@@ -14,13 +13,11 @@ namespace rshc::device {
 class Buffer {
  public:
   Buffer() = default;
-  explicit Buffer(std::size_t n, int device_id)
-      : storage_(n, 0.0), device_id_(device_id) {}
+  explicit Buffer(std::size_t n) : storage_(n, 0.0) {}
 
   [[nodiscard]] std::size_t size() const { return storage_.size(); }
-  [[nodiscard]] int device_id() const { return device_id_; }
 
-  /// View usable *on the owning device only* (inside launched kernels).
+  /// View usable *on the device only* (inside launched kernels).
   [[nodiscard]] std::span<double> device_view() { return storage_; }
   [[nodiscard]] std::span<const double> device_view() const {
     return storage_;
@@ -28,7 +25,6 @@ class Buffer {
 
  private:
   rshc::aligned_vector<double> storage_;
-  int device_id_ = -1;
 };
 
 }  // namespace rshc::device

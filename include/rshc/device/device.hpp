@@ -1,13 +1,11 @@
 #pragma once
-// Execution devices (DESIGN.md system #4). Three backends:
-//   kHostScalar — kernels run inline on the calling thread (baseline).
-//   kHostSimd   — kernels run inline but callers select the vectorized
-//                 kernel variants (see srhd/kernels_simd.*).
-//   kAccelSim   — simulated accelerator: dedicated in-order stream workers
-//                 execute kernels in submission order, and all data movement
-//                 goes through upload/download with a modeled PCIe-like cost
-//                 (latency + bandwidth), exercising the same staging and
-//                 overlap logic a real GPU offload needs.
+// The execution device (DESIGN.md system #4): a simulated accelerator that
+// stands in for the paper's GPU. Dedicated in-order stream workers execute
+// kernels in submission order, and all data movement goes through
+// upload/download with a modeled PCIe-like cost (latency + bandwidth), so
+// the solver exercises the same staging and overlap logic a real GPU
+// offload needs. Host code runs the batched cores directly; the scalar
+// baseline is kernels_scalar.cpp, not a device.
 //
 // Streams follow the CUDA model: every device starts with one default
 // stream (id 0); create_stream() adds further independent in-order queues.
@@ -18,16 +16,14 @@
 
 #include <functional>
 #include <memory>
-#include <string_view>
+#include <span>
+#include <vector>
 
+#include "rshc/common/mutex.hpp"
 #include "rshc/device/buffer.hpp"
 #include "rshc/device/event.hpp"
 
 namespace rshc::device {
-
-enum class Backend { kHostScalar, kHostSimd, kAccelSim };
-
-[[nodiscard]] std::string_view backend_name(Backend b);
 
 /// In-order work queue handle; 0 is the default stream every device owns.
 using StreamId = int;
@@ -44,44 +40,46 @@ struct AccelModel {
 
 class Device {
  public:
-  virtual ~Device() = default;
+  explicit Device(AccelModel model = {});
+  /// Drains and joins every stream worker.
+  ~Device();
   Device(const Device&) = delete;
   Device& operator=(const Device&) = delete;
 
-  [[nodiscard]] virtual Backend backend() const = 0;
-  [[nodiscard]] std::string_view name() const {
-    return backend_name(backend());
-  }
-  /// True when host code must stage data via upload/download.
-  [[nodiscard]] virtual bool requires_staging() const = 0;
+  /// Buffer in the device arena; host code reaches it only through
+  /// upload/download, kernels through device_view().
+  [[nodiscard]] Buffer alloc(std::size_t n) const { return Buffer(n); }
 
-  [[nodiscard]] virtual Buffer alloc(std::size_t n) = 0;
-
-  /// New independent in-order stream; returns its id. Host devices execute
-  /// everything inline, so their "streams" are trivially ordered.
-  [[nodiscard]] virtual StreamId create_stream() = 0;
+  /// New independent in-order stream; returns its id.
+  [[nodiscard]] StreamId create_stream() RSHC_EXCLUDES(streams_mutex_);
 
   /// Asynchronous host->device copy (ordered w.r.t. other work on `stream`).
-  virtual Event upload_async(std::span<const double> host, Buffer& dst,
-                             StreamId stream = kDefaultStream) = 0;
+  Event upload_async(std::span<const double> host, Buffer& dst,
+                     StreamId stream = kDefaultStream);
   /// Asynchronous device->host copy.
-  virtual Event download_async(const Buffer& src, std::span<double> host,
-                               StreamId stream = kDefaultStream) = 0;
+  Event download_async(const Buffer& src, std::span<double> host,
+                       StreamId stream = kDefaultStream);
   /// Enqueue a kernel; it may touch device_view() of this device's buffers.
   /// `work_items` feeds the launch-overhead model (0 = untimed).
-  virtual Event launch(std::function<void()> kernel, std::size_t work_items = 0,
-                       StreamId stream = kDefaultStream) = 0;
+  Event launch(std::function<void()> kernel, std::size_t work_items = 0,
+               StreamId stream = kDefaultStream);
   /// Make `stream` wait until `event` has completed before running any work
   /// submitted to it afterwards (cross-stream fence; no-op if already set).
-  virtual void wait_event(StreamId stream, Event event) = 0;
+  void wait_event(StreamId stream, Event event);
   /// Block until all submitted work on all streams has completed.
-  virtual void synchronize() = 0;
+  void synchronize() RSHC_EXCLUDES(streams_mutex_);
 
- protected:
-  Device() = default;
+ private:
+  struct Stream;
+
+  [[nodiscard]] double transfer_cost(std::size_t bytes) const;
+  Event enqueue(StreamId stream, const char* name, std::function<void()> op)
+      RSHC_EXCLUDES(streams_mutex_);
+
+  AccelModel model_;
+  Mutex streams_mutex_;  // guards the streams_ vector, not the queues
+  std::vector<std::unique_ptr<Stream>> streams_
+      RSHC_GUARDED_BY(streams_mutex_);
 };
-
-/// Factory. The accelerator backend accepts a cost model.
-std::unique_ptr<Device> make_device(Backend backend, AccelModel model = {});
 
 }  // namespace rshc::device

@@ -104,7 +104,10 @@ struct WatchdogOptions {
 /// RSHC_TELEMETRY_OUT, with default_counter_tracks().
 [[nodiscard]] SamplerOptions sampler_options_from_env();
 
-/// "off"/"0"/"false" -> kOff, "fatal" -> kFatal, anything else -> kWarn.
+/// ""/"0"/"off"/"OFF"/"false" -> kOff; "warn"/"WARN"/"1"/"on"/"ON"/"true"
+/// -> kWarn; "fatal"/"FATAL" -> kFatal. Anything else throws rshc::Error
+/// naming RSHC_WATCHDOG and the value, so a typo never downgrades a
+/// requested abort.
 [[nodiscard]] WatchdogPolicy parse_watchdog_policy(std::string_view s);
 
 /// Options from RSHC_WATCHDOG / RSHC_WATCHDOG_TIMEOUT_MS (policy defaults

@@ -89,10 +89,9 @@ class Tracer {
                       int pid = -1) RSHC_EXCLUDES(mutex_);
 
   /// Perfetto metadata (ph:"M"): label the process track for `pid`
-  /// (a rank) and the calling thread's track. Unregistered pids/tids fall
-  /// back to "rank <pid>" / "tid <tid>" at export time.
+  /// (a rank). Unregistered pids fall back to "rank <pid>" at export time;
+  /// thread tracks are labelled "tid <tid>".
   void set_process_name(int pid, std::string name) RSHC_EXCLUDES(mutex_);
-  void set_current_thread_name(std::string name) RSHC_EXCLUDES(mutex_);
 
   /// All buffered events merged across threads, sorted by begin time.
   [[nodiscard]] std::vector<TraceEvent> events() const RSHC_EXCLUDES(mutex_);
@@ -124,7 +123,6 @@ class Tracer {
   std::vector<std::unique_ptr<Ring>> rings_ RSHC_GUARDED_BY(mutex_);
   std::size_t capacity_ RSHC_GUARDED_BY(mutex_) = 65536;
   std::map<int, std::string> process_names_ RSHC_GUARDED_BY(mutex_);
-  std::map<std::uint32_t, std::string> thread_names_ RSHC_GUARDED_BY(mutex_);
   // Interned counter names: std::set nodes are stable, so the c_str()
   // pointers handed to TraceEvent::name stay valid for the tracer's life.
   std::set<std::string, std::less<>> interned_ RSHC_GUARDED_BY(mutex_);

@@ -85,7 +85,7 @@ class DeviceExec {
   std::vector<mesh::Block>* blocks_;
   Context ctx_;
   recon::PencilKernel recon_fn_;
-  std::unique_ptr<device::Device> dev_;
+  device::Device dev_;
   device::StreamId compute_ = device::kDefaultStream;
   device::StreamId transfer_ = device::kDefaultStream;
   std::vector<std::unique_ptr<Arena>> arenas_;

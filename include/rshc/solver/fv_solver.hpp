@@ -13,7 +13,7 @@
 //
 // One stepping engine: every host step runs the same per-(block, stage)
 // task graph (E = exchange+BC, K = rhs+update+c2p; the RK state save rides
-// in the first E of a step, Physics::post_step in the last K):
+// in the first E of a step, core::post_step_slabs in the last K):
 //  - step(dt)                          one-step graph run inline on the
 //                                      calling thread (serial schedule)
 //  - run_steps(n, dt, pool)            one graph spanning n whole steps on

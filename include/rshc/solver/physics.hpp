@@ -128,9 +128,6 @@ struct SrhdPhysics {
   }
   /// Sanitize reconstructed face states (positivity of rho, p; |v| < 1).
   static void limit_face_state(Prim& w, const Context& ctx);
-  /// Per-step hook (psi damping for MHD); no-op here.
-  static void post_step(mesh::FieldArray&, mesh::FieldArray&, const Context&,
-                        double /*dt*/, double /*dx_min*/) {}
 };
 
 struct SrmhdPhysics {
@@ -252,9 +249,6 @@ struct SrmhdPhysics {
     return {srmhd::kVx + axis, srmhd::kBx + axis};
   }
   static void limit_face_state(Prim& w, const Context& ctx);
-  /// GLM psi damping, applied to both cons and prim psi slabs.
-  static void post_step(mesh::FieldArray& cons, mesh::FieldArray& prim,
-                        const Context& ctx, double dt, double dx_min);
 };
 
 }  // namespace rshc::solver

@@ -116,8 +116,9 @@ template <typename Physics>
                                             const double* w,
                                             std::vector<double>& speed);
 
-/// Slab-pointer variant of Physics::post_step over whole (ghosted) arrays:
-/// GLM psi damping for SRMHD, no-op for SRHD.
+/// Per-step hook over whole (ghosted) arrays, run by the last K node of a
+/// host step and by the device post-step kernel: GLM psi damping for
+/// SRMHD, no-op for SRHD.
 template <typename Physics>
 void post_step_slabs(const BlockShape& sh,
                      const typename Physics::Context& ctx, double* u,

@@ -65,8 +65,14 @@ WatchdogPolicy parse_watchdog_policy(std::string_view s) {
   if (s.empty() || s == "0" || s == "off" || s == "OFF" || s == "false") {
     return WatchdogPolicy::kOff;
   }
+  if (s == "warn" || s == "WARN" || s == "1" || s == "on" || s == "ON" ||
+      s == "true") {
+    return WatchdogPolicy::kWarn;
+  }
   if (s == "fatal" || s == "FATAL") return WatchdogPolicy::kFatal;
-  return WatchdogPolicy::kWarn;
+  throw_error("RSHC_WATCHDOG='" + std::string(s) +
+                  "' is not one of off|warn|fatal",
+              __FILE__, __LINE__);
 }
 
 WatchdogOptions watchdog_options_from_env() {

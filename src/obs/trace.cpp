@@ -9,6 +9,7 @@
 
 #include "rshc/common/env.hpp"
 #include "rshc/common/error.hpp"
+#include "rshc/obs/journal.hpp"
 #include "rshc/obs/metrics.hpp"
 
 namespace rshc::obs {
@@ -154,12 +155,6 @@ void Tracer::set_process_name(int pid, std::string name) {
   process_names_[pid] = std::move(name);
 }
 
-void Tracer::set_current_thread_name(std::string name) {
-  const std::uint32_t tid = my_ring().tid;
-  LockGuard lock(mutex_);
-  thread_names_[tid] = std::move(name);
-}
-
 std::uint64_t flow_begin(const char* name, const char* cat) {
   if (!tracing_active()) return 0;
   // relaxed: id allocator; uniqueness is all that matters (0 is reserved
@@ -197,14 +192,26 @@ std::vector<TraceEvent> Tracer::events() const {
   return out;
 }
 
+namespace {
+
+/// `s` as a JSON string literal. Every name the exporter writes goes
+/// through here: process names and interned counter names are arbitrary
+/// runtime strings.
+std::string quoted(std::string_view s) {
+  std::string out = "\"";
+  journal::append_json_escaped(out, s);
+  out += '"';
+  return out;
+}
+
+}  // namespace
+
 void Tracer::write_chrome_json(std::ostream& os) const {
   const auto evs = events();
   std::map<int, std::string> process_names;
-  std::map<std::uint32_t, std::string> thread_names;
   {
     LockGuard lock(mutex_);
     process_names = process_names_;
-    thread_names = thread_names_;
   }
   // Tracks present in the buffered events; every one gets ph:"M" metadata
   // so Perfetto shows rank/thread labels instead of bare numeric pids.
@@ -227,22 +234,18 @@ void Tracer::write_chrome_json(std::ostream& os) const {
         pit != process_names.end() ? pit->second
                                    : "rank " + std::to_string(pid);
     os << "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":" << pid
-       << ",\"tid\":0,\"args\":{\"name\":\"" << pname << "\"}}";
+       << ",\"tid\":0,\"args\":{\"name\":" << quoted(pname) << "}}";
     for (const auto tid : tids) {
-      const auto tit = thread_names.find(tid);
-      const std::string tname = tit != thread_names.end()
-                                    ? tit->second
-                                    : "tid " + std::to_string(tid);
       os << ",{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":" << pid
-         << ",\"tid\":" << tid << ",\"args\":{\"name\":\"" << tname
+         << ",\"tid\":" << tid << ",\"args\":{\"name\":\"tid " << tid
          << "\"}}";
     }
   }
   for (const auto& ev : evs) {
     if (!first) os << ",";
     first = false;
-    os << "{\"name\":\"" << (ev.name != nullptr ? ev.name : "")
-       << "\",\"cat\":\"" << (ev.cat != nullptr ? ev.cat : "") << "\"";
+    os << "{\"name\":" << quoted(ev.name != nullptr ? ev.name : "")
+       << ",\"cat\":" << quoted(ev.cat != nullptr ? ev.cat : "");
     if (ev.kind == EventKind::kSpan) {
       os << ",\"ph\":\"X\",\"pid\":" << ev.pid << ",\"tid\":" << ev.tid;
       std::snprintf(buf, sizeof(buf), ",\"ts\":%.3f,\"dur\":%.3f",

@@ -61,7 +61,8 @@ struct DeviceExec<Physics>::Arena {
   device::Buffer rim_stage, ghost_stage;
   std::vector<double> host_rim, host_ghost;
 
-  Arena(device::Device& dev, const mesh::Block& blk, const mesh::Grid& grid)
+  Arena(const device::Device& dev, const mesh::Block& blk,
+        const mesh::Grid& grid)
       : shape(core::shape_of(blk, grid)), scratch(shape.max_extent()) {
     cells = shape.cells();
     cons = dev.alloc(static_cast<std::size_t>(Physics::kNumCons) * cells);
@@ -99,22 +100,24 @@ DeviceExec<Physics>::DeviceExec(const mesh::Grid& grid,
                                 const Context& ctx,
                                 recon::PencilKernel recon_fn,
                                 device::AccelModel model)
-    : grid_(&grid), blocks_(&blocks), ctx_(ctx), recon_fn_(recon_fn) {
-  dev_ = device::make_device(device::Backend::kAccelSim, model);
-  compute_ = device::kDefaultStream;
-  transfer_ = dev_->create_stream();
+    : grid_(&grid),
+      blocks_(&blocks),
+      ctx_(ctx),
+      recon_fn_(recon_fn),
+      dev_(model),
+      transfer_(dev_.create_stream()) {
   arenas_.reserve(blocks.size());
   for (const auto& blk : blocks) {
-    arenas_.push_back(std::make_unique<Arena>(*dev_, blk, grid));
+    arenas_.push_back(std::make_unique<Arena>(dev_, blk, grid));
   }
-  vmax_dev_ = dev_->alloc(blocks.size());
+  vmax_dev_ = dev_.alloc(blocks.size());
   vmax_host_.resize(blocks.size());
 }
 
 template <typename Physics>
 DeviceExec<Physics>::~DeviceExec() {
   // Drain in-flight kernels before the arenas they reference go away.
-  dev_->synchronize();
+  dev_.synchronize();
 }
 
 template <typename Physics>
@@ -125,8 +128,8 @@ void DeviceExec<Physics>::ensure_resident() {
   // stage's kernels are ordered after it without explicit fences.
   for (std::size_t b = 0; b < arenas_.size(); ++b) {
     const mesh::Block& blk = (*blocks_)[b];
-    dev_->upload_async(blk.cons().flat(), arenas_[b]->cons, compute_);
-    dev_->upload_async(blk.prim().flat(), arenas_[b]->prim, compute_);
+    dev_.upload_async(blk.cons().flat(), arenas_[b]->cons, compute_);
+    dev_.upload_async(blk.prim().flat(), arenas_[b]->prim, compute_);
   }
   resident_ = true;
 }
@@ -135,7 +138,7 @@ template <typename Physics>
 void DeviceExec<Physics>::save_state() {
   for (auto& ap : arenas_) {
     Arena* a = ap.get();
-    dev_->launch(
+    dev_.launch(
         [a] {
           const auto src = a->cons.device_view();
           auto dst = a->u0.device_view();
@@ -157,7 +160,7 @@ void DeviceExec<Physics>::stage(double ca, double cb, double cdt,
   std::vector<device::Event> down(nb);
   for (std::size_t b = 0; b < nb; ++b) {
     Arena* a = arenas_[b].get();
-    const device::Event packed = dev_->launch(
+    const device::Event packed = dev_.launch(
         [a] {
           const double* prim = a->prim.device_view().data();
           double* stage = a->rim_stage.device_view().data();
@@ -168,8 +171,8 @@ void DeviceExec<Physics>::stage(double ca, double cb, double cdt,
           }
         },
         a->rim_len, compute_);
-    dev_->wait_event(transfer_, packed);
-    down[b] = dev_->download_async(a->rim_stage, a->host_rim, transfer_);
+    dev_.wait_event(transfer_, packed);
+    down[b] = dev_.download_async(a->rim_stage, a->host_rim, transfer_);
   }
 
   // 2. Unpack every rim into the host mirror before any ghost logic runs:
@@ -199,9 +202,9 @@ void DeviceExec<Physics>::stage(double ca, double cb, double cdt,
                      .subspan(a->ghost_off[f], a->ghost_face_len(f)));
     }
     const device::Event up =
-        dev_->upload_async(a->host_ghost, a->ghost_stage, transfer_);
-    dev_->wait_event(compute_, up);
-    dev_->launch(
+        dev_.upload_async(a->host_ghost, a->ghost_stage, transfer_);
+    dev_.wait_event(compute_, up);
+    dev_.launch(
         [a] {
           const double* stage = a->ghost_stage.device_view().data();
           double* prim = a->prim.device_view().data();
@@ -212,7 +215,7 @@ void DeviceExec<Physics>::stage(double ca, double cb, double cdt,
           }
         },
         a->ghost_len, compute_);
-    dev_->launch(
+    dev_.launch(
         [this, a, b] {
           core::rhs_batched_range<Physics>(
               a->shape, ctx_, recon_fn_, a->prim.device_view().data(),
@@ -220,7 +223,7 @@ void DeviceExec<Physics>::stage(double ca, double cb, double cdt,
               a->shape.begin, a->shape.end, /*zero_du=*/true);
         },
         a->cells, compute_);
-    dev_->launch(
+    dev_.launch(
         [this, a, b, ca, cb, cdt, ps = &stats[b]] {
           core::update_batched<Physics>(
               a->shape, ctx_, ca, cb, cdt,
@@ -236,7 +239,7 @@ template <typename Physics>
 void DeviceExec<Physics>::post_step(double dt, double dx_min) {
   for (auto& ap : arenas_) {
     Arena* a = ap.get();
-    dev_->launch(
+    dev_.launch(
         [this, a, dt, dx_min] {
           core::post_step_slabs<Physics>(
               a->shape, ctx_, a->cons.device_view().data(),
@@ -251,7 +254,7 @@ double DeviceExec<Physics>::max_wave_speed() {
   device::Event last;
   for (std::size_t b = 0; b < arenas_.size(); ++b) {
     Arena* a = arenas_[b].get();
-    last = dev_->launch(
+    last = dev_.launch(
         [this, a, b] {
           vmax_dev_.device_view()[b] = core::max_wave_speed_batched<Physics>(
               a->shape, ctx_, a->prim.device_view().data(), a->speed);
@@ -260,8 +263,8 @@ double DeviceExec<Physics>::max_wave_speed() {
   }
   // Only one scalar slot per block crosses the boundary — the CFL scan is
   // not a state round-trip.
-  dev_->wait_event(transfer_, last);
-  dev_->download_async(vmax_dev_, vmax_host_, transfer_).wait();
+  dev_.wait_event(transfer_, last);
+  dev_.download_async(vmax_dev_, vmax_host_, transfer_).wait();
   double vmax = 1e-30;
   for (const double v : vmax_host_) vmax = std::max(vmax, v);
   return vmax;
@@ -276,16 +279,16 @@ void DeviceExec<Physics>::download_all() {
     mesh::Block& blk = (*blocks_)[b];
     // Compute stream: ordered after any in-flight kernels for the block.
     done.push_back(
-        dev_->download_async(arenas_[b]->cons, blk.cons().flat(), compute_));
+        dev_.download_async(arenas_[b]->cons, blk.cons().flat(), compute_));
     done.push_back(
-        dev_->download_async(arenas_[b]->prim, blk.prim().flat(), compute_));
+        dev_.download_async(arenas_[b]->prim, blk.prim().flat(), compute_));
   }
   for (const auto& e : done) e.wait();
 }
 
 template <typename Physics>
 void DeviceExec<Physics>::synchronize() {
-  dev_->synchronize();
+  dev_.synchronize();
 }
 
 template class DeviceExec<SrhdPhysics>;

@@ -542,8 +542,10 @@ parallel::TaskGraph& FvSolver<Physics>::step_graph(int nsteps,
           if (step_end) {
             RSHC_OBS_PHASE("solver.phase.other", "solver", b);
             auto& blk = blocks_[static_cast<std::size_t>(b)];
-            Physics::post_step(blk.cons(), blk.prim(), opt_.physics,
-                               current_dt_, grid_.min_dx());
+            core::post_step_slabs<Physics>(
+                core::shape_of(blk, grid_), opt_.physics,
+                blk.cons().flat().data(), blk.prim().flat().data(),
+                current_dt_, grid_.min_dx());
           }
         };
       });

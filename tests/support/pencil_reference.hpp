@@ -11,7 +11,7 @@
 // The oracle drives a solver only through its public surface: block(b) for
 // the state, fill_all_ghosts() for the halo exchange / boundary conditions
 // (custom ghost fillers included), options() / grid() for the scheme, and
-// set_time() for the clock; Physics::post_step is applied directly. The
+// set_time() for the clock; the GLM psi damping is applied here. The
 // driven solver must be on a host pipeline and is never stepped by itself.
 //
 // Bits: test TUs compile with the tree-default flags fv_solver.cpp uses, so
@@ -21,6 +21,7 @@
 #include <algorithm>
 #include <array>
 #include <cstddef>
+#include <type_traits>
 #include <vector>
 
 #include "rshc/mesh/field_array.hpp"
@@ -92,10 +93,17 @@ class PencilReference {
       for (int b = 0; b < s_.num_blocks(); ++b) compute_rhs(b);
       for (int b = 0; b < s_.num_blocks(); ++b) update_block(b, coeffs, dt);
     }
-    for (int b = 0; b < s_.num_blocks(); ++b) {
-      mesh::Block& blk = s_.block(b);
-      Physics::post_step(blk.cons(), blk.prim(), opt.physics, dt,
-                         s_.grid().min_dx());
+    if constexpr (std::is_same_v<Physics, solver::SrmhdPhysics>) {
+      // GLM psi damping over the whole ghosted psi slabs, cons and prim.
+      const double factor = srmhd::glm_damping_factor(
+          opt.physics.glm, dt, s_.grid().min_dx());
+      if (factor < 1.0) {
+        for (int b = 0; b < s_.num_blocks(); ++b) {
+          mesh::Block& blk = s_.block(b);
+          for (double& psi : blk.cons().var(srmhd::kPsi)) psi *= factor;
+          for (double& psi : blk.prim().var(srmhd::kPsi)) psi *= factor;
+        }
+      }
     }
     s_.set_time(s_.time() + dt);
   }

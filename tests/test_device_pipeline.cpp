@@ -341,14 +341,10 @@ TEST(DevicePipeline, ModeledTransferLatencyIsPaidPerStage) {
   }
 }
 
-// Every device backend stages a block's interior conservatives, runs the
-// batched con2prim core in a launched kernel and hands back the solver's
-// own primitives bit for bit: the core is backend-agnostic, only the
-// staging differs (host backends copy in place, the accelerator through
-// its modeled link).
-class DeviceBackends : public ::testing::TestWithParam<device::Backend> {};
-
-TEST_P(DeviceBackends, BatchedConsToPrimRecoversSolverPrims) {
+// The device stages a block's interior conservatives through its modeled
+// link, runs the batched con2prim core in a launched kernel and hands back
+// the solver's own primitives bit for bit.
+TEST(DevicePipeline, BatchedConsToPrimRecoversSolverPrims) {
   using Physics = solver::SrhdPhysics;
   solver::SrhdSolver::Options opt;
   opt.recon = recon::Method::kPLMMC;
@@ -378,18 +374,18 @@ TEST_P(DeviceBackends, BatchedConsToPrimRecoversSolverPrims) {
   const std::size_t n = u_host[0].size();
   ASSERT_EQ(n, 16u * 16u);
 
-  auto dev = device::make_device(GetParam(), zero_cost());
+  device::Device dev(zero_cost());
   std::array<device::Buffer, Physics::kNumCons> u_buf;
   std::array<device::Buffer, Physics::kNumPrim> w_buf;
   for (int v = 0; v < Physics::kNumCons; ++v) {
     const auto sv = static_cast<std::size_t>(v);
-    u_buf[sv] = dev->alloc(n);
-    dev->upload_async(u_host[sv], u_buf[sv]);
+    u_buf[sv] = dev.alloc(n);
+    dev.upload_async(u_host[sv], u_buf[sv]);
   }
-  for (auto& b : w_buf) b = dev->alloc(n);
+  for (auto& b : w_buf) b = dev.alloc(n);
   solver::C2PStats stats;
   const Physics::Context ctx = s.options().physics;
-  dev->launch(
+  dev.launch(
       [&] {
         std::array<const double*, Physics::kNumCons> u{};
         std::array<double*, Physics::kNumPrim> w{};
@@ -405,9 +401,9 @@ TEST_P(DeviceBackends, BatchedConsToPrimRecoversSolverPrims) {
   std::array<std::vector<double>, Physics::kNumPrim> w_dev;
   for (std::size_t v = 0; v < w_dev.size(); ++v) {
     w_dev[v].resize(n);
-    dev->download_async(w_buf[v], w_dev[v]);
+    dev.download_async(w_buf[v], w_dev[v]);
   }
-  dev->synchronize();
+  dev.synchronize();
 
   EXPECT_EQ(stats.floored_zones, 0);
   EXPECT_GT(stats.total_iterations, 0);
@@ -415,11 +411,6 @@ TEST_P(DeviceBackends, BatchedConsToPrimRecoversSolverPrims) {
     EXPECT_EQ(count_bit_diffs(w_ref[v], w_dev[v]), 0) << "prim var " << v;
   }
 }
-
-INSTANTIATE_TEST_SUITE_P(Backends, DeviceBackends,
-                         ::testing::Values(device::Backend::kHostScalar,
-                                           device::Backend::kHostSimd,
-                                           device::Backend::kAccelSim));
 
 #if RSHC_OBS_ENABLED
 /// Expected D2H bytes per RK stage: every block's interior rims come down
@@ -461,7 +452,7 @@ std::int64_t ghost_bytes_per_stage(const Solver& s) {
 /// Multi-step residency accounting: after the step-0 full upload, a device
 /// step moves *exactly* nstages halo payloads in each direction — nothing
 /// else may cross the boundary. Pinned for both physics systems via the
-/// device backend's obs byte counters.
+/// device's obs byte counters.
 template <typename Solver, typename Ic>
 void expect_halo_only_traffic(const Ic& ic) {
   if (!obs::enabled()) GTEST_SKIP() << "obs disabled at runtime (RSHC_OBS=0)";

@@ -197,6 +197,84 @@ TEST_F(ObsTest, JsonWritersEscapeEveryControlByte) {
     (void)parser.parse();
     EXPECT_TRUE(parser.ok()) << parser.error();
   }
+
+  // The trace exporter writes runtime strings too: a process name and an
+  // interned counter name carrying a quote, a backslash and a control
+  // byte must come out escaped and parse back.
+  const std::string odd = "t.\"q\\b\x01";
+  constexpr int kPid = 4242;
+  obs::Tracer& tracer = obs::Tracer::global();
+  tracer.set_process_name(kPid, odd);
+  tracer.record_counter(odd, "test", 1.0, kPid);
+  std::ostringstream os;
+  tracer.write_chrome_json(os);
+  const std::string trace = os.str();
+  for (const char c : trace) {
+    EXPECT_GE(static_cast<unsigned char>(c), 0x20) << trace;
+  }
+  EXPECT_NE(trace.find("\"name\":\"t.\\\"q\\\\b\\u0001\""), std::string::npos)
+      << trace;
+  JsonParser parser(trace);
+  (void)parser.parse();
+  EXPECT_TRUE(parser.ok()) << parser.error();
+}
+
+// Span names and categories are emitted through the same escaping as
+// runtime strings: literals carrying a quote, a backslash and control
+// bytes still yield a trace that parses back.
+TEST_F(ObsTest, ChromeTraceEscapesSpanNamesAndCategories) {
+  obs::Tracer& tracer = obs::Tracer::global();
+  tracer.record_span("t.span\"q\\\x02", "c\"at\\\t", 7, 100, 200);
+  std::ostringstream os;
+  tracer.write_chrome_json(os);
+  const std::string trace = os.str();
+  for (const char c : trace) {
+    EXPECT_GE(static_cast<unsigned char>(c), 0x20) << trace;
+  }
+  EXPECT_NE(trace.find("\"name\":\"t.span\\\"q\\\\\\u0002\""),
+            std::string::npos)
+      << trace;
+  JsonParser parser(trace);
+  const JsonValue root = parser.parse();
+  ASSERT_TRUE(parser.ok()) << parser.error();
+  bool found = false;
+  for (const JsonValue& ev : root.at("traceEvents").array) {
+    if (ev.at("ph").string != "X") continue;
+    EXPECT_EQ(ev.at("cat").string, "c\"at\\\t");
+    found = true;
+  }
+  EXPECT_TRUE(found) << trace;
+}
+
+// Tracks with no registered name get stable default labels: "rank <pid>"
+// for the process and "tid <tid>" for each thread that recorded events.
+TEST_F(ObsTest, ChromeTraceLabelsUnnamedTracks) {
+  obs::Tracer& tracer = obs::Tracer::global();
+  constexpr int kPid = 31337;
+  tracer.record_counter("t.unnamed", "test", 2.0, kPid);
+  std::ostringstream os;
+  tracer.write_chrome_json(os);
+  JsonParser parser(os.str());
+  const JsonValue root = parser.parse();
+  ASSERT_TRUE(parser.ok()) << parser.error();
+  std::string process_label;
+  std::vector<std::string> thread_labels;
+  double counter_tid = -1.0;
+  for (const JsonValue& ev : root.at("traceEvents").array) {
+    if (ev.at("pid").number != kPid) continue;
+    if (ev.at("ph").string == "C") counter_tid = ev.at("tid").number;
+    if (ev.at("ph").string != "M") continue;
+    if (ev.at("name").string == "process_name") {
+      process_label = ev.at("args").at("name").string;
+    } else if (ev.at("name").string == "thread_name") {
+      thread_labels.push_back(ev.at("args").at("name").string);
+    }
+  }
+  EXPECT_EQ(process_label, "rank " + std::to_string(kPid));
+  ASSERT_EQ(thread_labels.size(), 1U);
+  ASSERT_GE(counter_tid, 0.0);
+  EXPECT_EQ(thread_labels[0],
+            "tid " + std::to_string(static_cast<int>(counter_tid)));
 }
 
 TEST_F(ObsTest, RuntimeDisableStopsAccumulationViaMacros) {

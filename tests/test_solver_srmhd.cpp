@@ -7,12 +7,14 @@
 #include <cmath>
 #include <cstring>
 #include <memory>
+#include <vector>
 
 #include "rshc/analysis/norms.hpp"
 #include "rshc/parallel/thread_pool.hpp"
 #include "rshc/problems/problems.hpp"
 #include "rshc/solver/diagnostics.hpp"
 #include "rshc/solver/fv_solver.hpp"
+#include "rshc/solver/rhs_core.hpp"
 
 namespace {
 
@@ -210,10 +212,78 @@ TEST(SrmhdSolver, PsiDampingShrinksPsiNorm) {
   EXPECT_LT(solver::psi_l2(s), psi0);
 }
 
+// Ghosted 2-d slab shape plus cons/prim arrays whose every entry differs,
+// so a post-step body that touches the wrong variable or skips a ghost
+// cell shows up as a changed value.
+struct PostStepSlabs {
+  solver::core::BlockShape sh;
+  std::vector<double> u;
+  std::vector<double> w;
+
+  explicit PostStepSlabs(int nvars) {
+    sh.ndim = 2;
+    sh.total = {7, 6, 1};
+    sh.begin = {2, 2, 0};
+    sh.end = {5, 4, 1};
+    sh.inv_dx = {10.0, 10.0, 0.0};
+    const std::size_t n = static_cast<std::size_t>(nvars) * sh.cells();
+    u.resize(n);
+    w.resize(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      u[i] = 1.0 + 0.25 * static_cast<double>(i);
+      w[i] = -3.0 + 0.125 * static_cast<double>(i);
+    }
+  }
+};
+
+TEST(SrmhdPostStep, DampsPsiSlabsIncludingGhostsAndNothingElse) {
+  solver::SrmhdPhysics::Context ctx;
+  ctx.glm.alpha = 0.3;
+  PostStepSlabs x(srmhd::kNumVars);
+  const PostStepSlabs ref(srmhd::kNumVars);
+  const double dt = 0.02;
+  const double dx = 0.1;
+  solver::core::post_step_slabs<solver::SrmhdPhysics>(x.sh, ctx, x.u.data(),
+                                                      x.w.data(), dt, dx);
+  const double factor = srmhd::glm_damping_factor(ctx.glm, dt, dx);
+  ASSERT_LT(factor, 1.0);
+  const std::size_t cells = x.sh.cells();
+  const std::size_t psi0 = static_cast<std::size_t>(srmhd::kPsi) * cells;
+  for (std::size_t i = 0; i < x.u.size(); ++i) {
+    const bool psi = i >= psi0 && i < psi0 + cells;
+    EXPECT_EQ(x.u[i], psi ? ref.u[i] * factor : ref.u[i]) << "cons " << i;
+    EXPECT_EQ(x.w[i], psi ? ref.w[i] * factor : ref.w[i]) << "prim " << i;
+  }
+}
+
+TEST(SrmhdPostStep, NoDampingLeavesStateUntouched) {
+  for (const bool enabled : {false, true}) {
+    solver::SrmhdPhysics::Context ctx;
+    ctx.glm.enabled = enabled;
+    ctx.glm.alpha = enabled ? 0.0 : 0.3;  // either way the factor is 1
+    PostStepSlabs x(srmhd::kNumVars);
+    const PostStepSlabs ref(srmhd::kNumVars);
+    solver::core::post_step_slabs<solver::SrmhdPhysics>(
+        x.sh, ctx, x.u.data(), x.w.data(), 0.02, 0.1);
+    EXPECT_EQ(x.u, ref.u) << "enabled " << enabled;
+    EXPECT_EQ(x.w, ref.w) << "enabled " << enabled;
+  }
+}
+
+TEST(SrhdPostStep, IsANoOp) {
+  const solver::SrhdPhysics::Context ctx;
+  PostStepSlabs x(srhd::kNumVars);
+  const PostStepSlabs ref(srhd::kNumVars);
+  solver::core::post_step_slabs<solver::SrhdPhysics>(x.sh, ctx, x.u.data(),
+                                                     x.w.data(), 0.02, 0.1);
+  EXPECT_EQ(x.u, ref.u);
+  EXPECT_EQ(x.w, ref.w);
+}
+
 // Multi-block SRMHD through every host schedule of the step graph:
-// Physics::post_step (GLM psi damping) runs inside the last-stage compute
-// node, so serial, dataflow and bulk-sync stepping must agree bitwise in
-// every variable, cons and prims.
+// core::post_step_slabs (GLM psi damping) runs inside the last-stage
+// compute node, so serial, dataflow and bulk-sync stepping must agree
+// bitwise in every variable, cons and prims.
 TEST(SrmhdSolverModes, FieldLoopStepDataflowBulkSyncBitwise) {
   const mesh::Grid g = mesh::Grid::make_2d(24, 24, -0.5, 0.5, -0.5, 0.5);
   SrmhdSolver::Options opt = mhd_opts();

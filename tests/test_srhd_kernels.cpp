@@ -1,6 +1,6 @@
 // Scalar/SIMD kernel-variant equivalence: both translation units must
 // produce (bitwise-close) identical physics on identical batches — the
-// invariant the heterogeneous backends rely on.
+// invariant the scalar baseline and the batched pipelines rely on.
 
 #include <gtest/gtest.h>
 

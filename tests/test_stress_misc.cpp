@@ -50,18 +50,18 @@ TEST(Stress, InterleavedTagsAcrossManyRounds) {
 }
 
 TEST(Stress, AccelStreamSurvivesHighChurn) {
-  auto dev = device::make_device(device::Backend::kAccelSim);
-  device::Buffer buf = dev->alloc(64);
+  device::Device dev;
+  device::Buffer buf = dev.alloc(64);
   std::vector<double> host(64, 0.0);
-  dev->upload_async(host, buf);
+  dev.upload_async(host, buf);
   auto view = buf.device_view();
   for (int i = 0; i < 300; ++i) {
-    dev->launch([view] {
+    dev.launch([view] {
       for (double& x : view) x += 1.0;
     });
   }
-  dev->download_async(buf, host);
-  dev->synchronize();
+  dev.download_async(buf, host);
+  dev.synchronize();
   for (const double x : host) EXPECT_DOUBLE_EQ(x, 300.0);
 }
 

@@ -328,11 +328,26 @@ TEST_F(Telemetry, JournalCarriesProvenanceAndCheckFailures) {
 
 TEST_F(Telemetry, EnvParsingCoversPoliciesAndDefaults) {
   using obs::telemetry::parse_watchdog_policy;
-  EXPECT_EQ(parse_watchdog_policy("off"), WatchdogPolicy::kOff);
-  EXPECT_EQ(parse_watchdog_policy("0"), WatchdogPolicy::kOff);
-  EXPECT_EQ(parse_watchdog_policy(""), WatchdogPolicy::kOff);
-  EXPECT_EQ(parse_watchdog_policy("warn"), WatchdogPolicy::kWarn);
+  for (const char* off : {"", "0", "off", "OFF", "false"}) {
+    EXPECT_EQ(parse_watchdog_policy(off), WatchdogPolicy::kOff) << off;
+  }
+  for (const char* warn : {"warn", "WARN", "1", "on", "ON", "true"}) {
+    EXPECT_EQ(parse_watchdog_policy(warn), WatchdogPolicy::kWarn) << warn;
+  }
   EXPECT_EQ(parse_watchdog_policy("fatal"), WatchdogPolicy::kFatal);
+  EXPECT_EQ(parse_watchdog_policy("FATAL"), WatchdogPolicy::kFatal);
+  // A typo must not silently downgrade a requested abort to a warning.
+  for (const char* bad : {"fatl", "Fatal", "yes", "2", " warn"}) {
+    try {
+      (void)parse_watchdog_policy(bad);
+      ADD_FAILURE() << "RSHC_WATCHDOG=" << bad << " accepted";
+    } catch (const rshc::Error& e) {
+      const std::string msg = e.what();
+      EXPECT_NE(msg.find("RSHC_WATCHDOG"), std::string::npos) << msg;
+      EXPECT_NE(msg.find("'" + std::string(bad) + "'"), std::string::npos)
+          << msg;
+    }
+  }
 
   ::unsetenv("RSHC_TELEMETRY");
   ::unsetenv("RSHC_TELEMETRY_INTERVAL_MS");
@@ -381,6 +396,28 @@ TEST_F(Telemetry, EnvParsingCoversPoliciesAndDefaults) {
   ::unsetenv("RSHC_TELEMETRY_INTERVAL_MS");
   ::unsetenv("RSHC_WATCHDOG");
   ::unsetenv("RSHC_WATCHDOG_TIMEOUT_MS");
+}
+
+// The env reader goes through the strict policy parser: RSHC_WATCHDOG=fatal
+// arms an abort, and a misspelt value fails loudly at startup instead of
+// quietly running with a weaker policy than the one asked for.
+TEST_F(Telemetry, WatchdogEnvPolicyIsStrict) {
+  ::unsetenv("RSHC_WATCHDOG_TIMEOUT_MS");
+  ::setenv("RSHC_WATCHDOG", "fatal", 1);
+  EXPECT_EQ(obs::telemetry::watchdog_options_from_env().policy,
+            WatchdogPolicy::kFatal);
+  ::setenv("RSHC_WATCHDOG", "off", 1);
+  EXPECT_EQ(obs::telemetry::watchdog_options_from_env().policy,
+            WatchdogPolicy::kOff);
+  ::setenv("RSHC_WATCHDOG", "fatl", 1);
+  try {
+    (void)obs::telemetry::watchdog_options_from_env();
+    ADD_FAILURE() << "RSHC_WATCHDOG=fatl accepted";
+  } catch (const rshc::Error& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("RSHC_WATCHDOG='fatl'"), std::string::npos) << msg;
+  }
+  ::unsetenv("RSHC_WATCHDOG");
 }
 
 }  // namespace

@@ -147,7 +147,7 @@ def library_files() -> dict[str, str]:
 # ---------------------------------------------------------------------------
 
 # TUs that compile the shared deterministic cores (riemann::detail /
-# rhs_core) for more than one backend and must therefore agree bitwise:
+# rhs_core) for more than one pipeline and must therefore agree bitwise:
 # contraction is pinned *off* on every one of them, whatever -march says.
 RECIPE_TUS = (
     r"src/srhd/kernels_\w+\.cpp$",
