@@ -3,10 +3,11 @@
 // on the scalar-host baseline, the vectorized-host variant, and the
 // simulated accelerator (kernel-only and with staging transfers).
 //
-// Expected shape: vectorized-host beats scalar on the streaming kernels
-// (prim2cons, flux, axpby); the branch-heavy con2prim gains little from
-// vectorization; the accelerator matches host-simd kernel time but pays
-// transfer overheads that only amortize at large batches (see F8).
+// Expected shape: vectorized-host beats scalar on the compute-bound kernels
+// (con2prim, a lane-wise tile solver whose Newton passes vectorize, and
+// prim2cons); the memory-bound streaming kernels (flux, axpby) gain little;
+// the accelerator matches host-simd kernel time but pays transfer overheads
+// that only amortize at large batches (see F8).
 
 #include <random>
 

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 namespace rshc {
 
@@ -12,6 +13,22 @@ namespace rshc {
 
 [[nodiscard]] constexpr double sign(double x) {
   return (x > 0.0) - (x < 0.0);
+}
+
+/// std::max / std::min by value, with exactly their semantics
+/// (std::max(a, b) is `a < b ? b : a`, std::min(a, b) is `b < a ? b : a`,
+/// NaN handling included), for the lane-wise kernels: GCC does not
+/// if-convert the by-reference std:: forms over lane arrays.
+[[nodiscard]] constexpr double max_of(double a, double b) {
+  return a < b ? b : a;
+}
+[[nodiscard]] constexpr double min_of(double a, double b) {
+  return b < a ? b : a;
+}
+
+/// std::isfinite as a plain comparison, so it vectorizes.
+[[nodiscard]] inline bool is_finite(double x) {
+  return std::abs(x) <= std::numeric_limits<double>::max();
 }
 
 /// minmod limiter of two arguments.

@@ -12,7 +12,9 @@
 //  - Preempt / warm resume: a preempted job checkpoints through
 //    io::write_checkpoint and re-enters the queue; on re-dispatch it
 //    restores via io::read_checkpoint and continues bitwise-identically
-//    to an uninterrupted run (fixed step budget, deterministic dt).
+//    to an uninterrupted run (fixed step budget, deterministic dt). The
+//    restored checkpoint file is deleted: each preemption writes a fresh
+//    one, and no eviction checkpoint outlives its resume.
 //  - Isolation: with RSHC_OBS on, each job's solver metrics accumulate in
 //    a per-job obs::Registry (installed thread-locally while the job
 //    runs), and every lifecycle transition is journaled.

@@ -108,6 +108,15 @@ void update_batched(const BlockShape& sh, const typename Physics::Context& ctx,
                     const double* du, double* u, double* w, C2PStats& stats,
                     int block_id);
 
+/// Primitive recovery u -> w over the interior, row by row through the
+/// batched con2prim kernels (Physics::cons_to_prim_n). With runtime checks
+/// compiled in, every recovered zone is validated with its provenance.
+template <typename Physics>
+void cons_to_prim_batched(const BlockShape& sh,
+                          const typename Physics::Context& ctx,
+                          const double* u, double* w, C2PStats& stats,
+                          int block_id);
+
 /// Interior max signal speed (slab-wise scan; `speed` is resized to one
 /// row). Seeded with 1e-30 like FvSolver::compute_dt.
 template <typename Physics>

@@ -12,12 +12,18 @@
 // policy (floors) and continue — matching production HRSC practice.
 //
 // Implementation is header-inline so the scalar/SIMD kernel TUs compile it
-// under their own flags (same rationale as state.hpp).
+// under their own flags (same rationale as state.hpp). The residual, the
+// admissibility test and the initial bracket are detail:: bodies shared
+// with the lane-wise tile solver of kernels::{scalar,simd}::cons_to_prim_n,
+// which runs this exact operation sequence over a tile of zones in lockstep
+// (branches turned into selects), so the batched and the per-zone solve
+// agree bit for bit. cons_to_prim below stays the per-zone spec.
 
 #include <algorithm>
 #include <cmath>
 
 #include "rshc/check/check.hpp"
+#include "rshc/common/math.hpp"
 #include "rshc/srhd/state.hpp"
 
 namespace rshc::srhd {
@@ -46,27 +52,61 @@ struct C2PResidual {
   bool physical = false;
 };
 
+/// Branch-free: every quantity is computed whatever p is, and `physical`
+/// says whether they mean anything (callers ignore the rest otherwise).
+/// The per-zone solve and the lane-wise tile solver in the batched kernels
+/// both call this one body, so they run the same operation sequence.
 inline C2PResidual c2p_evaluate(const Cons& u, double p,
                                 const eos::IdealGas& eos) {
-  C2PResidual r;
   const double E = u.tau + u.d;
   const double Ep = E + p;
-  if (Ep <= 0.0) return r;
   const double s2 = u.s_sq();
   const double v2 = s2 / (Ep * Ep);
-  if (v2 >= 1.0) return r;
   const double W = 1.0 / std::sqrt(1.0 - v2);
   const double rho = u.d / W;
-  if (rho <= 0.0) return r;
   const double h = Ep / (u.d * W);
   const double eps = h - 1.0 - p / rho;
   const double p_eos = eos.pressure(rho, eps);
   const double cs2 = eos.gamma() * p_eos / (rho * h);
+  C2PResidual r;
   r.f = p_eos - p;
   r.df = v2 * cs2 - 1.0;
   r.prim = Prim{rho, u.sx / Ep, u.sy / Ep, u.sz / Ep, p};
-  r.physical = true;
+  // Bitwise & so no branch (and no bool phi the vectorizer cannot mask).
+  r.physical = !(Ep <= 0.0) & !(v2 >= 1.0) & !(rho <= 0.0);
   return r;
+}
+
+/// Zones the solve never starts on: evacuated or non-finite.
+inline bool c2p_admissible(const Cons& u, const Con2PrimOptions& opt) {
+  const bool d_ok = is_finite(u.d);
+  const bool tau_ok = is_finite(u.tau);
+  const bool s_ok = is_finite(u.s_sq());
+  return (u.d > opt.rho_floor) & d_ok & tau_ok & s_ok;
+}
+
+/// Initial bisection bracket [lo, hi] and Newton guess p.
+struct C2PBracket {
+  double lo = 0.0;
+  double hi = 0.0;
+  double p = 0.0;
+};
+
+inline C2PBracket c2p_bracket(const Cons& u, const eos::IdealGas& eos,
+                              const Con2PrimOptions& opt) {
+  const double E = u.tau + u.d;
+  const double s_abs = std::sqrt(u.s_sq());
+  // Physicality requires E + p > |S| (subluminal velocity); start the
+  // bracket just above the causal minimum.
+  const double p_min = max_of(
+      opt.p_floor, s_abs - E + 1e-14 * max_of(1.0, std::abs(E)));
+  // Upper bound: generous multiple of the zero-velocity ideal-gas pressure.
+  const double p_max =
+      max_of(2.0 * p_min, 2.0 * (eos.gamma() - 1.0) * std::abs(E)) + 1.0;
+  // Initial guess: zero-velocity ideal-gas estimate clipped into bracket
+  // (std::clamp is min(max(v, lo), hi)).
+  const double p0 = min_of(max_of((eos.gamma() - 1.0) * u.tau, p_min), p_max);
+  return {p_min, p_max, p0};
 }
 
 }  // namespace detail
@@ -80,36 +120,24 @@ inline C2PResidual c2p_evaluate(const Cons& u, double p,
   const Prim atmo{opt.rho_floor, 0.0, 0.0, 0.0, opt.p_floor};
 
   // Evacuated or invalid zones go straight to atmosphere.
-  if (!(u.d > opt.rho_floor) || !std::isfinite(u.d) ||
-      !std::isfinite(u.tau) || !std::isfinite(u.s_sq())) {
+  if (!detail::c2p_admissible(u, opt)) {
     out.prim = atmo;
     out.floored = true;
     RSHC_CHECK_PRIM("srhd.con2prim", out.prim, -1, -1, -1, -1);
     return out;
   }
 
-  const double E = u.tau + u.d;
-  const double s_abs = std::sqrt(u.s_sq());
-
-  // Physicality requires E + p > |S| (subluminal velocity); start the
-  // bracket just above the causal minimum.
-  const double p_min =
-      std::max(opt.p_floor, s_abs - E + 1e-14 * std::max(1.0, std::abs(E)));
-  // Upper bound: generous multiple of the zero-velocity ideal-gas pressure.
-  const double p_max =
-      std::max(2.0 * p_min, 2.0 * (eos.gamma() - 1.0) * std::abs(E)) + 1.0;
-
-  if (!detail::c2p_evaluate(u, p_min, eos).physical) {
+  const detail::C2PBracket b = detail::c2p_bracket(u, eos, opt);
+  if (!detail::c2p_evaluate(u, b.lo, eos).physical) {
     out.prim = atmo;
     out.floored = true;
     RSHC_CHECK_PRIM("srhd.con2prim", out.prim, -1, -1, -1, -1);
     return out;
   }
 
-  // Initial guess: zero-velocity ideal-gas estimate clipped into bracket.
-  double p = std::clamp((eos.gamma() - 1.0) * u.tau, p_min, p_max);
-  double lo = p_min;
-  double hi = p_max;
+  double p = b.p;
+  double lo = b.lo;
+  double hi = b.hi;
 
   for (int it = 0; it < opt.max_iterations; ++it) {
     out.iterations = it + 1;

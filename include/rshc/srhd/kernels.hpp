@@ -5,6 +5,10 @@
 //   kernels::scalar — baseline flags (vectorization disabled)
 //   kernels::simd   — -O3 -march=native, loops annotated for vectorization
 // The simulated accelerator runs the simd variants on its stream worker.
+// cons_to_prim_n is a lane-wise tile solver (64 zones advance through the
+// Newton solve in lockstep, one branch-free pass per iteration) that
+// returns bitwise what a per-zone cons_to_prim loop returns, iteration and
+// floor counts included; under -march=native its passes vectorize.
 
 #include <cstddef>
 

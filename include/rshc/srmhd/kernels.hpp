@@ -1,11 +1,12 @@
 #pragma once
 // Batched SoA kernels over SRMHD zone arrays — the host-pipeline and
 // device-kernel surface mirroring rshc/srhd/kernels.hpp, compiled in
-// kernels_simd.cpp (-O3, -march=native). The branch-heavy per-zone work
-// (1D-W Newton c2p, fast-speed bound) lives in src/srmhd/{con2prim,state}.cpp
-// compiled once with default flags, so the batched kernels and the
-// per-zone calls are bitwise identical by construction; the batched win is
-// data movement, not arithmetic.
+// kernels_simd.cpp (-O3, -march=native). cons_to_prim_n is a lane-wise tile
+// solver: 64 zones run the 1D-W bracket expansion and Newton solve in
+// lockstep through the detail:: bodies the per-zone cons_to_prim
+// (con2prim.cpp) calls, so the two agree bit for bit, iteration and floor
+// counts included. The fast-speed bound stays a per-zone call into
+// state.cpp.
 
 #include <cstddef>
 

@@ -114,7 +114,7 @@ struct SimulationService::Job {
   int preempts = 0;
   int resumes = 0;
   int stalls = 0;
-  bool has_checkpoint = false;  ///< eviction checkpoint exists on disk
+  bool has_checkpoint = false;  ///< eviction checkpoint awaits resume
   parallel::StallLatch stall;   ///< fed steps_done by scan_stalls()
   std::int64_t seq = 0;         ///< FIFO order within a priority class
   Clock::time_point submitted;
@@ -292,6 +292,7 @@ void SimulationService::run_job(const JobPtr& job) {
   {
     LockGuard lock(mutex_);
     resuming = job->has_checkpoint;
+    job->has_checkpoint = false;  // this run consumes it
     if (resuming) {
       ++job->resumes;
       ++resumed_;
@@ -320,6 +321,12 @@ void SimulationService::run_job(const JobPtr& job) {
       auto engine = make_engine(job->spec);
       if (resuming) {
         engine->restore(job->ckpt_path);
+        // Delete the consumed checkpoint, so a later preemption writes a
+        // new file instead of truncating this one (on ext4 with online
+        // discard, freeing its blocks is a synchronous discard in open())
+        // and finished jobs leave no files behind.
+        std::error_code ec;
+        std::filesystem::remove(job->ckpt_path, ec);
       } else {
         engine->initialize();
       }

@@ -233,7 +233,7 @@ template <typename Physics>
 void update_batched(const BlockShape& sh, const typename Physics::Context& ctx,
                     double ca, double cb, double cdt, const double* u0,
                     const double* du, double* u, double* w, C2PStats& stats,
-                    [[maybe_unused]] int block_id) {
+                    int block_id) {
   const std::size_t cells = sh.cells();
   const int ib = sh.begin[0];
   const auto nx = static_cast<std::size_t>(sh.end[0] - sh.begin[0]);
@@ -253,29 +253,40 @@ void update_batched(const BlockShape& sh, const typename Physics::Context& ctx,
   }
   {
     RSHC_OBS_PHASE("solver.phase.c2p", "solver", block_id);
-    const double* uptr[Physics::kNumCons];
-    double* wptr[Physics::kNumPrim];
-    for (int k = sh.begin[2]; k < sh.end[2]; ++k) {
-      for (int j = sh.begin[1]; j < sh.end[1]; ++j) {
-        const std::size_t base = sh.cell_index(k, j, ib);
-        for (int v = 0; v < Physics::kNumCons; ++v) {
-          uptr[v] = u + static_cast<std::size_t>(v) * cells + base;
-        }
-        for (int v = 0; v < Physics::kNumPrim; ++v) {
-          wptr[v] = w + static_cast<std::size_t>(v) * cells + base;
-        }
-        Physics::cons_to_prim_n(nx, uptr, wptr, ctx, stats);
-#if RSHC_CHECKS_ENABLED
-        // Nothing unphysical may leave c2p, even when the atmosphere
-        // fallback healed the zone.
-        for (std::size_t i = 0; i < nx; ++i) {
-          double comp[Physics::kNumPrim];
-          for (int v = 0; v < Physics::kNumPrim; ++v) comp[v] = wptr[v][i];
-          const auto p = Physics::prim_from_components(comp);
-          RSHC_CHECK_PRIM("c2p", p, block_id, ib + static_cast<int>(i), j, k);
-        }
-#endif
+    cons_to_prim_batched<Physics>(sh, ctx, u, w, stats, block_id);
+  }
+}
+
+template <typename Physics>
+void cons_to_prim_batched(const BlockShape& sh,
+                          const typename Physics::Context& ctx,
+                          const double* u, double* w, C2PStats& stats,
+                          [[maybe_unused]] int block_id) {
+  const std::size_t cells = sh.cells();
+  const int ib = sh.begin[0];
+  const auto nx = static_cast<std::size_t>(sh.end[0] - sh.begin[0]);
+  const double* uptr[Physics::kNumCons];
+  double* wptr[Physics::kNumPrim];
+  for (int k = sh.begin[2]; k < sh.end[2]; ++k) {
+    for (int j = sh.begin[1]; j < sh.end[1]; ++j) {
+      const std::size_t base = sh.cell_index(k, j, ib);
+      for (int v = 0; v < Physics::kNumCons; ++v) {
+        uptr[v] = u + static_cast<std::size_t>(v) * cells + base;
       }
+      for (int v = 0; v < Physics::kNumPrim; ++v) {
+        wptr[v] = w + static_cast<std::size_t>(v) * cells + base;
+      }
+      Physics::cons_to_prim_n(nx, uptr, wptr, ctx, stats);
+#if RSHC_CHECKS_ENABLED
+      // Nothing unphysical may leave c2p, even when the atmosphere
+      // fallback healed the zone.
+      for (std::size_t i = 0; i < nx; ++i) {
+        double comp[Physics::kNumPrim];
+        for (int v = 0; v < Physics::kNumPrim; ++v) comp[v] = wptr[v][i];
+        const auto p = Physics::prim_from_components(comp);
+        RSHC_CHECK_PRIM("c2p", p, block_id, ib + static_cast<int>(i), j, k);
+      }
+#endif
     }
   }
 }
@@ -341,6 +352,14 @@ template void update_batched<SrmhdPhysics>(const BlockShape&,
                                            double, double, double,
                                            const double*, const double*,
                                            double*, double*, C2PStats&, int);
+template void cons_to_prim_batched<SrhdPhysics>(const BlockShape&,
+                                                const SrhdPhysics::Context&,
+                                                const double*, double*,
+                                                C2PStats&, int);
+template void cons_to_prim_batched<SrmhdPhysics>(const BlockShape&,
+                                                 const SrmhdPhysics::Context&,
+                                                 const double*, double*,
+                                                 C2PStats&, int);
 template double max_wave_speed_batched<SrhdPhysics>(
     const BlockShape&, const SrhdPhysics::Context&, const double*,
     std::vector<double>&);

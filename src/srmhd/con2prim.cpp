@@ -6,62 +6,13 @@
 #include "rshc/check/check.hpp"
 
 namespace rshc::srmhd {
-namespace {
-
-struct ZState {
-  double f = 0.0;
-  double v2 = 0.0;
-  double W = 1.0;
-  double p = 0.0;
-  bool physical = false;
-};
-
-ZState evaluate(const Cons& u, double z, const eos::IdealGas& eos) {
-  ZState r;
-  if (z <= 0.0) return r;
-  const double B2 = u.b_sq();
-  const double SB = u.s_dot_b();
-  const double zB = z + B2;
-  const double v2 =
-      (u.s_sq() + SB * SB * (2.0 * z + B2) / (z * z)) / (zB * zB);
-  if (v2 >= 1.0 || v2 < 0.0) return r;
-  const double W = 1.0 / std::sqrt(1.0 - v2);
-  const double rho = u.d / W;
-  if (rho <= 0.0) return r;
-  const double p =
-      (eos.gamma() - 1.0) / eos.gamma() * (z / (W * W) - u.d / W);
-  const double E = u.tau + u.d;
-  r.f = z - p + 0.5 * B2 * (1.0 + v2) - 0.5 * SB * SB / (z * z) - E;
-  r.v2 = v2;
-  r.W = W;
-  r.p = p;
-  r.physical = true;
-  return r;
-}
-
-Prim atmosphere(const Cons& u, const Con2PrimOptions& opt) {
-  // Keep the magnetic field (it is directly evolved and divergence-
-  // constrained); reset the fluid to atmosphere.
-  Prim w;
-  w.rho = opt.rho_floor;
-  w.p = opt.p_floor;
-  w.bx = u.bx;
-  w.by = u.by;
-  w.bz = u.bz;
-  w.psi = u.psi;
-  return w;
-}
-
-}  // namespace
 
 Con2PrimResult cons_to_prim(const Cons& u, const eos::IdealGas& eos,
                             const Con2PrimOptions& opt) {
   Con2PrimResult out;
 
-  if (!(u.d > opt.rho_floor) || !std::isfinite(u.d) ||
-      !std::isfinite(u.tau) || !std::isfinite(u.s_sq()) ||
-      !std::isfinite(u.b_sq())) {
-    out.prim = atmosphere(u, opt);
+  if (!detail::c2p_admissible(u, opt)) {
+    out.prim = detail::c2p_atmosphere(u, opt);
     out.floored = true;
     RSHC_CHECK_PRIM("srmhd.con2prim", out.prim, -1, -1, -1, -1);
     return out;
@@ -73,20 +24,21 @@ Con2PrimResult cons_to_prim(const Cons& u, const eos::IdealGas& eos,
   // as "below the root" for bracketing purposes, which makes plain
   // bisection robust even when the physical window starts far above D
   // (highly relativistic, strongly magnetized states).
-  auto below_root = [](const ZState& s) { return !s.physical || s.f < 0.0; };
+  using detail::below_root;
+  using detail::c2p_evaluate;
+  using detail::ZState;
 
-  double z_lo = std::max(u.d * (1.0 - 1e-12), 1e-30);
+  double z_lo = detail::c2p_z_lo(u);
   // Expand the upper end until it is physical with f > 0.
-  double z_hi =
-      std::max(2.0 * z_lo, 2.0 * std::abs(u.tau + u.d) + u.b_sq() + 1.0);
-  ZState s_hi = evaluate(u, z_hi, eos);
+  double z_hi = detail::c2p_z_hi(u, z_lo);
+  ZState s_hi = c2p_evaluate(u, z_hi, eos);
   int guard = 0;
   while (below_root(s_hi) && guard++ < 200) {
     z_hi *= 2.0;
-    s_hi = evaluate(u, z_hi, eos);
+    s_hi = c2p_evaluate(u, z_hi, eos);
   }
   if (below_root(s_hi)) {
-    out.prim = atmosphere(u, opt);
+    out.prim = detail::c2p_atmosphere(u, opt);
     out.floored = true;
     RSHC_CHECK_PRIM("srmhd.con2prim", out.prim, -1, -1, -1, -1);
     return out;
@@ -96,7 +48,7 @@ Con2PrimResult cons_to_prim(const Cons& u, const eos::IdealGas& eos,
   const double E = u.tau + u.d;
   for (int it = 0; it < opt.max_iterations; ++it) {
     out.iterations = it + 1;
-    const ZState r = evaluate(u, z, eos);
+    const ZState r = c2p_evaluate(u, z, eos);
     if (!r.physical) {
       z_lo = std::max(z_lo, z);  // unphysical => z below the root
       z = 0.5 * (z_lo + z_hi);
@@ -104,21 +56,7 @@ Con2PrimResult cons_to_prim(const Cons& u, const eos::IdealGas& eos,
     }
     const double scale = std::max(std::abs(E), std::abs(z));
     if (std::abs(r.f) <= opt.tolerance * scale) {
-      const double SB = u.s_dot_b();
-      const double B2 = u.b_sq();
-      Prim w;
-      w.rho = std::max(u.d / r.W, opt.rho_floor);
-      w.p = std::max(r.p, opt.p_floor);
-      const double vB = SB / z;
-      // Invert S = (z + B^2) v - (v.B) B  =>  v = (S + vB * B) / (z + B^2).
-      w.vx = (u.sx + vB * u.bx) / (z + B2);
-      w.vy = (u.sy + vB * u.by) / (z + B2);
-      w.vz = (u.sz + vB * u.bz) / (z + B2);
-      w.bx = u.bx;
-      w.by = u.by;
-      w.bz = u.bz;
-      w.psi = u.psi;
-      out.prim = w;
+      out.prim = detail::c2p_prim(u, z, r.W, r.p, opt);
       out.converged = true;
       // Same contract as SRHD: nothing unphysical leaves c2p, floored or
       // not (see check.hpp; zone provenance is added by the solver site).
@@ -132,7 +70,7 @@ Con2PrimResult cons_to_prim(const Cons& u, const eos::IdealGas& eos,
     }
     // Newton with numerical derivative, bisection fallback.
     const double dz = 1e-8 * std::max(1.0, std::abs(z));
-    const ZState rp = evaluate(u, z + dz, eos);
+    const ZState rp = c2p_evaluate(u, z + dz, eos);
     double z_next = 0.0;
     if (rp.physical && std::abs(rp.f - r.f) > 0.0) {
       const double slope = (rp.f - r.f) / dz;
@@ -144,7 +82,7 @@ Con2PrimResult cons_to_prim(const Cons& u, const eos::IdealGas& eos,
     z = z_next;
   }
 
-  out.prim = atmosphere(u, opt);
+  out.prim = detail::c2p_atmosphere(u, opt);
   out.floored = true;
   out.converged = false;
   RSHC_CHECK_PRIM("srmhd.con2prim", out.prim, -1, -1, -1, -1);

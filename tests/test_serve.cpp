@@ -260,6 +260,36 @@ TEST(ServePreemptResume, BitwiseIdenticalSrmhd2d) {
                         "srmhd_2d");
 }
 
+// A resume consumes its checkpoint: the file is deleted once restored, so a
+// second preemption writes a fresh file (never truncates the old one) and a
+// finished job leaves the checkpoint directory empty.
+TEST(ServePreemptResume, ResumeDeletesConsumedCheckpoint) {
+  auto cfg = test_config("consumed");
+  cfg.workers = 1;
+  std::filesystem::remove_all(cfg.checkpoint_dir);
+  serve::SimulationService svc(cfg);
+
+  serve::JobSpec spec;
+  spec.name = "twice_preempted";
+  spec.problem = "sod";
+  spec.resolution = 64;
+  spec.steps = 12;
+  spec.step_delay_ms = 10;  // widen the preemption windows
+  const auto a = svc.submit(spec);
+  ASSERT_TRUE(a.admitted) << a.reason;
+  wait_for_progress(svc, a.id, 3);
+  ASSERT_TRUE(svc.preempt(a.id));
+  wait_for_progress(svc, a.id, 6);
+  ASSERT_TRUE(svc.preempt(a.id));
+  const auto st = svc.wait(a.id);
+  ASSERT_EQ(st.state, serve::JobState::kCompleted) << st.message;
+  EXPECT_EQ(st.steps_done, spec.steps);
+  EXPECT_EQ(st.preempts, 2);
+  EXPECT_EQ(st.resumes, 2);
+  EXPECT_TRUE(std::filesystem::is_empty(cfg.checkpoint_dir))
+      << "a resumed job left its eviction checkpoint behind";
+}
+
 TEST(ServePreemptResume, HighPrioritySubmissionEvictsBatchJob) {
   auto cfg = test_config("priority");
   cfg.workers = 1;
