@@ -1,7 +1,8 @@
 // Heterogeneous execution demo: the same block stepped on the host
 // pipeline and on the simulated accelerator (HostPipeline::kDevice, same
 // compiled kernels, bitwise-identical result), plus a dataflow-vs-bulk-sync
-// comparison of the two pool schedules of the block task graph.
+// comparison of the two pool schedules of the block task graph on each
+// pipeline.
 //
 //   ./examples/heterogeneous [N=128] [threads=4] [steps=20]
 //
@@ -76,38 +77,40 @@ int main(int argc, char** argv) {
   std::printf("# device state bitwise identical to host: %s\n",
               identical ? "yes" : "NO");
 
-  // Part 2: futurized dataflow vs bulk-synchronous stepping.
+  // Part 2: futurized dataflow vs bulk-synchronous stepping, on both
+  // pipelines (the device runs the same step graph on the pool).
   std::printf("\n# Part 2: %d steps of a %lldx%lld run on %u workers, "
               "4x4 blocks\n",
               steps, n, n, threads);
-  auto make_solver = [&] {
-    auto o = opt;
-    o.blocks = {4, 4, 1};
-    auto s = std::make_unique<solver::SrhdSolver>(grid, o);
-    s->initialize(problems::kelvin_helmholtz_ic({}));
-    return s;
-  };
   parallel::ThreadPool pool(threads);
   const double dt = 0.2 / static_cast<double>(n);
-
-  auto bulk = make_solver();
-  WallTimer t1;
-  bulk->run_steps(steps, dt, pool, solver::Schedule::kBulkSync);
-  const double t_bulk = t1.seconds();
-
-  auto flow = make_solver();
-  WallTimer t2;
-  flow->run_steps(steps, dt, pool, solver::Schedule::kDataflow);
-  const double t_flow = t2.seconds();
-
-  std::printf("%-14s %-12s %-12s\n", "mode", "seconds", "steps/s");
-  std::printf("%-14s %-12.4f %-12.2f\n", "bulk-sync", t_bulk,
-              steps / t_bulk);
-  std::printf("%-14s %-12.4f %-12.2f\n", "dataflow", t_flow,
-              steps / t_flow);
-  std::printf("# dataflow speedup: %.2fx (expect ~1 on a 1-core host; the "
-              "gap widens with cores and block count)\n",
-              t_bulk / t_flow);
+  std::printf("%-14s %-12s %-12s %-12s\n", "pipeline", "mode", "seconds",
+              "steps/s");
+  for (const auto pipeline :
+       {solver::HostPipeline::kBatchedSimd, solver::HostPipeline::kDevice}) {
+    double secs[2] = {0.0, 0.0};
+    for (const auto schedule :
+         {solver::Schedule::kBulkSync, solver::Schedule::kDataflow}) {
+      auto o = opt;
+      o.blocks = {4, 4, 1};
+      o.pipeline = pipeline;
+      solver::SrhdSolver s(grid, o);
+      s.initialize(problems::kelvin_helmholtz_ic({}));
+      const bool bulk = schedule == solver::Schedule::kBulkSync;
+      WallTimer t;
+      s.run_steps(steps, dt, pool, schedule);
+      s.sync_from_device();
+      const double sec = t.seconds();
+      secs[bulk ? 0 : 1] = sec;
+      std::printf("%-14s %-12s %-12.4f %-12.2f\n",
+                  std::string(solver::host_pipeline_name(pipeline)).c_str(),
+                  bulk ? "bulk-sync" : "dataflow", sec, steps / sec);
+    }
+    std::printf("# %s dataflow speedup: %.2fx (the gap widens with cores "
+                "and block count)\n",
+                std::string(solver::host_pipeline_name(pipeline)).c_str(),
+                secs[0] / secs[1]);
+  }
   rshc::obs::maybe_dump("heterogeneous");
   return 0;
 }

@@ -6,8 +6,13 @@
 // for the host-side ghost logic (sibling copies, physical BCs, or the
 // distributed driver's custom filler), freshly filled ghost shells go back
 // up. Transfers ride a dedicated transfer stream and are fenced against a
-// compute stream with device::Events, so one block's rhs/update kernels
-// run while the next block's halo upload is still in flight.
+// compute stream with device::Events.
+//
+// DeviceExec holds no schedule of its own: FvSolver's block task graph
+// calls upload_ghosts(b) from block b's E node and stage(b, ...) from its K
+// node, on the calling thread for step() and on pool workers for
+// run_steps() (the device streams accept concurrent submission), so one
+// block's kernels run while another block's halo upload is in flight.
 //
 // The kernels launched here call the same compiled core::rhs_batched_range /
 // core::update_batched / core::max_wave_speed_batched instantiations as
@@ -15,7 +20,6 @@
 // HostPipeline::kDevice is bitwise identical to the host path by
 // construction — pinned by tests/test_device_pipeline.cpp.
 
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -24,6 +28,7 @@
 #include "rshc/mesh/grid.hpp"
 #include "rshc/recon/reconstruct.hpp"
 #include "rshc/solver/physics.hpp"
+#include "rshc/time/integrator.hpp"
 
 namespace rshc::solver {
 
@@ -47,25 +52,19 @@ class DeviceExec {
   /// when already resident — steady-state steps move only halos.
   void ensure_resident();
 
-  /// Device-side u0 = cons for every block (RK reference state).
-  void save_state();
+  /// E-node tail for block b: pack its ghost shells from the host mirror
+  /// (just filled by the exchange) and upload them on the transfer
+  /// stream. The upload event is kept for the block's next stage().
+  void upload_ghosts(int b);
 
-  /// One RK stage (u = (ca*u0 + cb*u) + cdt*du, then con2prim):
-  ///   1. pack interior rims on the compute stream, download them on the
-  ///      transfer stream (event-fenced), unpack into the host mirror;
-  ///   2. run `exchange` per block (FvSolver's exchange_block, including
-  ///      any custom ghost filler) against the host mirror;
-  ///   3. pack ghost shells, upload on the transfer stream, and enqueue
-  ///      unpack + rhs + update kernels that wait on the upload event —
-  ///      block b computes while block b+1's upload is in flight.
-  /// `stats[b]` receives the con2prim counters (read only after
-  /// synchronize()).
-  void stage(double ca, double cb, double cdt,
-             const std::function<void(int)>& exchange,
-             std::vector<C2PStats>& stats);
-
-  /// Device-side per-step hook (GLM psi damping; no-op for SRHD).
-  void post_step(double dt, double dx_min);
+  /// K-node body for block b, one RK stage: the compute stream waits for
+  /// the ghost upload, then runs u0 = cons (`step_start`), ghost unpack,
+  /// rhs, update (u = (a*u0 + b*u) + c*dt*du, then con2prim into `stats`)
+  /// and post_step (`step_end`) kernels. The interior rims are packed,
+  /// downloaded and unpacked into the host mirror before this returns, so
+  /// `stats` is final and the mirror holds what the next exchange reads.
+  void stage(int b, time::StageCoeffs coeffs, double dt, bool step_start,
+             bool step_end, C2PStats& stats);
 
   /// Interior max signal speed from the device-resident state (the CFL
   /// scan as a device kernel + one scalar-sized download per block).
@@ -75,8 +74,8 @@ class DeviceExec {
   /// mirror becomes a consistent snapshot).
   void download_all();
 
-  /// Drain both streams; after this the host may read `stats`.
-  void synchronize();
+  /// Drain both streams (a failed step's uploads may still be in flight).
+  void synchronize() { dev_.synchronize(); }
 
  private:
   struct Arena;
@@ -93,9 +92,6 @@ class DeviceExec {
   std::vector<double> vmax_host_;
   bool resident_ = false;
 };
-
-using SrhdDeviceExec = DeviceExec<SrhdPhysics>;
-using SrmhdDeviceExec = DeviceExec<SrmhdPhysics>;
 
 extern template class DeviceExec<SrhdPhysics>;
 extern template class DeviceExec<SrmhdPhysics>;

@@ -7,13 +7,17 @@
 //
 // One pipeline body: every execution mode below runs the batched rhs /
 // update / con2prim / CFL cores of rhs_core.cpp, on the host or (with
-// HostPipeline::kDevice, step() only) as kernels on the simulated
-// accelerator. The per-pencil reference those cores are pinned against
-// bitwise lives with the tests (tests/support/pencil_reference.hpp).
+// HostPipeline::kDevice) as kernels on the simulated accelerator. The
+// per-pencil reference those cores are pinned against bitwise lives with
+// the tests (tests/support/pencil_reference.hpp).
 //
-// One stepping engine: every host step runs the same per-(block, stage)
-// task graph (E = exchange+BC, K = rhs+update+c2p; the RK state save rides
-// in the first E of a step, core::post_step_slabs in the last K):
+// One stepping engine for both pipelines: every step runs the same
+// per-(block, stage) task graph (E = exchange+BC, K = rhs+update+c2p; the
+// RK state save rides in the first stage of a step, core::post_step_slabs
+// in the last K). The node bodies are picked when the graph is built: on
+// kDevice, E also uploads the block's ghost shells and K enqueues the
+// block's kernels, then brings its interior rims back to the host mirror
+// (see device_exec.hpp):
 //  - step(dt)                          one-step graph run inline on the
 //                                      calling thread (serial schedule)
 //  - run_steps(n, dt, pool)            one graph spanning n whole steps on
@@ -51,9 +55,10 @@
 
 namespace rshc::solver {
 
-/// Where the per-block hot loops (rhs, RK update, con2prim, CFL scan) run.
-/// Both settings execute the same compiled batched cores (rhs_core.cpp)
-/// and are bitwise identical:
+/// Where the per-block hot loops (rhs, RK update, con2prim, CFL scan) run,
+/// fixed for a solver's lifetime. Both settings run under the same step
+/// graph (step() and run_steps()), execute the same compiled batched cores
+/// (rhs_core.cpp) and are bitwise identical:
 ///  - kBatchedSimd  on the host: slab-wise plane reconstruction, tiled
 ///                  transpose gathers, fused span loops over the
 ///                  kernels::simd TUs (-O3, native arch)
@@ -126,8 +131,8 @@ class FvSolver {
   /// state (cons, prims, time) if the first exchange fails.
   void step(double dt);
 
-  /// `nsteps` fixed-dt steps as one task graph on `pool` (host pipeline
-  /// only); bitwise identical to `nsteps` step() calls.
+  /// `nsteps` fixed-dt steps as one task graph on `pool` (either
+  /// pipeline); bitwise identical to `nsteps` step() calls.
   void run_steps(int nsteps, double dt, parallel::ThreadPool& pool,
                  Schedule schedule = Schedule::kDataflow);
 
@@ -207,9 +212,6 @@ class FvSolver {
   /// prim_at / gather_prim_var / total_cons / offload see current data.
   /// Residency is kept; no-op when not resident.
   void sync_from_device();
-  /// Switch the execution pipeline mid-run. Leaving kDevice syncs the
-  /// host mirror and drops residency (the next kDevice step re-uploads).
-  void set_pipeline(HostPipeline p);
 
  private:
   struct Scratch;  // per-block batched-tile work arrays
@@ -233,7 +235,10 @@ class FvSolver {
   /// messages fly, then boundary boxes as overlap_finish_ reports faces.
   void compute_rhs_overlapped(int b);
   void update_block(int b, time::StageCoeffs coeffs, double dt);
-  void step_device(double dt);
+  /// Body of step() and run_steps(): device residency on kDevice, then the
+  /// step graph, inline (`pool` null) or on the pool.
+  void run_graph(int nsteps, double dt, Schedule schedule,
+                 parallel::ThreadPool* pool);
   parallel::TaskGraph& step_graph(int nsteps, Schedule schedule);
   /// Shared tail of every stepping entry point: fold the per-block c2p
   /// stats, advance the clock and publish one telemetry heartbeat.
@@ -258,12 +263,13 @@ class FvSolver {
   double current_dt_ = 0.0;
   long long steps_taken_ = 0;
 
-  // Lazily constructed on the first kDevice step; owns the per-block
-  // device arenas (see device_exec.hpp).
+  // Constructed on the first kDevice step; owns the per-block device
+  // arenas (see device_exec.hpp). Null on the host pipeline.
   std::unique_ptr<DeviceExec<Physics>> device_;
 
   // The last step graph built, keyed by step count, schedule and overlap
-  // mode (the node bodies differ when the exchange is futurized).
+  // mode (the node bodies differ when the exchange is futurized; the
+  // pipeline, which also picks them, is fixed per solver).
   std::unique_ptr<parallel::TaskGraph> graph_;
   int graph_steps_ = 0;
   Schedule graph_schedule_ = Schedule::kDataflow;

@@ -38,15 +38,31 @@ mesh::BoxSpec ghost_box(const mesh::Block& b, int axis, int side) {
   return mesh::BoxSpec{lo[2], lo[1], lo[0], n[2], n[1], n[0]};
 }
 
+/// One direction of a block's halo staging: one packed box of every prim
+/// variable per active face, at per-face offsets into one buffer that
+/// exists on the device and on the host.
+struct Faces {
+  std::vector<mesh::BoxSpec> box;  ///< per active face, (axis, side) order
+  std::vector<std::size_t> off;    ///< per face, in doubles
+  std::size_t len = 0;
+  device::Buffer dev;
+  std::vector<double> host;
+
+  void add(const mesh::BoxSpec& b, int nvar) {
+    box.push_back(b);
+    off.push_back(len);
+    len += static_cast<std::size_t>(nvar) * b.cells();
+  }
+};
+
 }  // namespace
 
-/// Per-block device arena plus its halo staging plan. The staging buffer
-/// holds one packed face box per active face, split into two buffers with
-/// per-face offset tables: rims (interior transverse — exactly the cells
-/// sibling exchange reads) come down, ghost shells (full transverse,
-/// corners included) go back up. Steady-state traffic per step is exactly
-/// nstages rim payloads D2H and nstages ghost-shell payloads H2D — the
-/// halo-only contract the obs byte counters pin in test_device_pipeline.
+/// Per-block device arena plus its halo staging plan: rims (interior
+/// transverse — exactly the cells sibling exchange reads) come down, ghost
+/// shells (full transverse, corners included) go back up. Steady-state
+/// traffic per step is exactly nstages rim payloads D2H and nstages
+/// ghost-shell payloads H2D — the halo-only contract the obs byte counters
+/// pin in test_device_pipeline.
 template <typename Physics>
 struct DeviceExec<Physics>::Arena {
   core::BlockShape shape;
@@ -54,12 +70,10 @@ struct DeviceExec<Physics>::Arena {
   device::Buffer cons, prim, u0, du;
   core::BatchScratch<Physics> scratch;
   std::vector<double> speed;  ///< CFL-kernel row scratch (device-side)
-  std::vector<mesh::BoxSpec> rim;    ///< per active face, (axis, side) order
-  std::vector<mesh::BoxSpec> ghost;  ///< matching ghost shells
-  std::vector<std::size_t> rim_off, ghost_off;  ///< per-face, in doubles
-  std::size_t rim_len = 0, ghost_len = 0;
-  device::Buffer rim_stage, ghost_stage;
-  std::vector<double> host_rim, host_ghost;
+  Faces rim, ghost;
+  /// Last ghost upload. Starts complete, so a K node whose E node threw
+  /// (the pool still runs it) waits on nothing instead of forever.
+  device::Event up;
 
   Arena(const device::Device& dev, const mesh::Block& blk,
         const mesh::Grid& grid)
@@ -69,28 +83,33 @@ struct DeviceExec<Physics>::Arena {
     prim = dev.alloc(static_cast<std::size_t>(Physics::kNumPrim) * cells);
     u0 = dev.alloc(static_cast<std::size_t>(Physics::kNumCons) * cells);
     du = dev.alloc(static_cast<std::size_t>(Physics::kNumCons) * cells);
-    const auto nv = static_cast<std::size_t>(Physics::kNumPrim);
     for (int axis = 0; axis < grid.ndim(); ++axis) {
       for (int side = 0; side < 2; ++side) {
-        rim.push_back(rim_box(blk, axis, side));
-        ghost.push_back(ghost_box(blk, axis, side));
-        rim_off.push_back(rim_len);
-        ghost_off.push_back(ghost_len);
-        rim_len += nv * rim.back().cells();
-        ghost_len += nv * ghost.back().cells();
+        rim.add(rim_box(blk, axis, side), Physics::kNumPrim);
+        ghost.add(ghost_box(blk, axis, side), Physics::kNumPrim);
       }
     }
-    rim_stage = dev.alloc(rim_len);
-    ghost_stage = dev.alloc(ghost_len);
-    host_rim.resize(rim_len);
-    host_ghost.resize(ghost_len);
+    for (Faces* f : {&rim, &ghost}) {
+      f->dev = dev.alloc(f->len);
+      f->host.resize(f->len);
+    }
+    up.set();
   }
 
-  [[nodiscard]] std::size_t rim_face_len(std::size_t f) const {
-    return static_cast<std::size_t>(Physics::kNumPrim) * rim[f].cells();
+  /// Gather the face boxes of `f` from a prim array of this block's shape
+  /// (device arena or host mirror — same layout) into `out`.
+  void pack(const double* w, const Faces& f, double* out) const {
+    for (std::size_t i = 0; i < f.box.size(); ++i) {
+      mesh::pack_box(w, Physics::kNumPrim, shape.total[2], shape.total[1],
+                     shape.total[0], f.box[i], out + f.off[i]);
+    }
   }
-  [[nodiscard]] std::size_t ghost_face_len(std::size_t f) const {
-    return static_cast<std::size_t>(Physics::kNumPrim) * ghost[f].cells();
+  /// Scatter `in` (pack layout) back into the face boxes of `f`.
+  void unpack(double* w, const Faces& f, const double* in) const {
+    for (std::size_t i = 0; i < f.box.size(); ++i) {
+      mesh::unpack_box(w, Physics::kNumPrim, shape.total[2], shape.total[1],
+                       shape.total[0], f.box[i], in + f.off[i]);
+    }
   }
 };
 
@@ -125,128 +144,85 @@ void DeviceExec<Physics>::ensure_resident() {
   if (resident_) return;
   RSHC_TRACE_SCOPE("device.residency_upload", "device", -1);
   // Full-state upload, once. Enqueued on the compute stream so the first
-  // stage's kernels are ordered after it without explicit fences.
+  // stage's kernels are ordered after it without explicit fences; waited
+  // for, because the step's E nodes write the mirror's ghosts next.
+  device::Event done;
   for (std::size_t b = 0; b < arenas_.size(); ++b) {
     const mesh::Block& blk = (*blocks_)[b];
     dev_.upload_async(blk.cons().flat(), arenas_[b]->cons, compute_);
-    dev_.upload_async(blk.prim().flat(), arenas_[b]->prim, compute_);
+    done = dev_.upload_async(blk.prim().flat(), arenas_[b]->prim, compute_);
   }
+  done.wait();
   resident_ = true;
 }
 
 template <typename Physics>
-void DeviceExec<Physics>::save_state() {
-  for (auto& ap : arenas_) {
-    Arena* a = ap.get();
+void DeviceExec<Physics>::upload_ghosts(int b) {
+  Arena& a = *arenas_[static_cast<std::size_t>(b)];
+  a.pack((*blocks_)[static_cast<std::size_t>(b)].prim().flat().data(),
+         a.ghost, a.ghost.host.data());
+  a.up = dev_.upload_async(a.ghost.host, a.ghost.dev, transfer_);
+}
+
+template <typename Physics>
+void DeviceExec<Physics>::stage(int b, time::StageCoeffs coeffs, double dt,
+                                bool step_start, bool step_end,
+                                C2PStats& stats) {
+  Arena* a = arenas_[static_cast<std::size_t>(b)].get();
+  dev_.wait_event(compute_, a->up);
+  if (step_start) {
+    // RK reference state, ordered after the previous step's post_step.
     dev_.launch(
         [a] {
           const auto src = a->cons.device_view();
-          auto dst = a->u0.device_view();
-          std::copy(src.begin(), src.end(), dst.begin());
+          std::copy(src.begin(), src.end(), a->u0.device_view().begin());
         },
         a->cells, compute_);
   }
-}
-
-template <typename Physics>
-void DeviceExec<Physics>::stage(double ca, double cb, double cdt,
-                                const std::function<void(int)>& exchange,
-                                std::vector<C2PStats>& stats) {
-  const std::size_t nb = arenas_.size();
-
-  // 1. Pack every block's interior rims on the compute stream (ordered
-  //    after the previous stage's update), then download the packed
-  //    staging buffer on the transfer stream, fenced on the pack.
-  std::vector<device::Event> down(nb);
-  for (std::size_t b = 0; b < nb; ++b) {
-    Arena* a = arenas_[b].get();
-    const device::Event packed = dev_.launch(
-        [a] {
-          const double* prim = a->prim.device_view().data();
-          double* stage = a->rim_stage.device_view().data();
-          for (std::size_t f = 0; f < a->rim.size(); ++f) {
-            mesh::pack_box(prim, Physics::kNumPrim, a->shape.total[2],
-                           a->shape.total[1], a->shape.total[0], a->rim[f],
-                           stage + a->rim_off[f]);
-          }
-        },
-        a->rim_len, compute_);
-    dev_.wait_event(transfer_, packed);
-    down[b] = dev_.download_async(a->rim_stage, a->host_rim, transfer_);
-  }
-
-  // 2. Unpack every rim into the host mirror before any ghost logic runs:
-  //    exchange_block reads *neighbour* rims (sibling halo copies), so all
-  //    rims must land first.
-  for (std::size_t b = 0; b < nb; ++b) {
-    down[b].wait();
-    Arena& a = *arenas_[b];
-    auto& w = (*blocks_)[b].prim();
-    for (std::size_t f = 0; f < a.rim.size(); ++f) {
-      w.unpack_box(a.rim[f], std::span<const double>(a.host_rim)
-                                 .subspan(a.rim_off[f], a.rim_face_len(f)));
-    }
-  }
-
-  // 3. Per block: host-side ghost fill, ghost upload on the transfer
-  //    stream, then the unpack/rhs/update kernel chain fenced on that
-  //    upload — block b's kernels run while block b+1 is still
-  //    exchanging and uploading.
-  for (std::size_t b = 0; b < nb; ++b) {
-    exchange(static_cast<int>(b));
-    Arena* a = arenas_[b].get();
-    const auto& w = (*blocks_)[b].prim();
-    for (std::size_t f = 0; f < a->ghost.size(); ++f) {
-      w.pack_box(a->ghost[f],
-                 std::span<double>(a->host_ghost)
-                     .subspan(a->ghost_off[f], a->ghost_face_len(f)));
-    }
-    const device::Event up =
-        dev_.upload_async(a->host_ghost, a->ghost_stage, transfer_);
-    dev_.wait_event(compute_, up);
+  dev_.launch(
+      [a] {
+        a->unpack(a->prim.device_view().data(), a->ghost,
+                  a->ghost.dev.device_view().data());
+      },
+      a->ghost.len, compute_);
+  dev_.launch(
+      [this, a, b] {
+        core::rhs_batched_range<Physics>(
+            a->shape, ctx_, recon_fn_, a->prim.device_view().data(),
+            a->du.device_view().data(), a->scratch, b, a->shape.begin,
+            a->shape.end, /*zero_du=*/true);
+      },
+      a->cells, compute_);
+  dev_.launch(
+      [this, a, b, coeffs, cdt = coeffs.c * dt, ps = &stats] {
+        core::update_batched<Physics>(
+            a->shape, ctx_, coeffs.a, coeffs.b, cdt,
+            a->u0.device_view().data(), a->du.device_view().data(),
+            a->cons.device_view().data(), a->prim.device_view().data(), *ps,
+            b);
+      },
+      a->cells, compute_);
+  if (step_end) {
     dev_.launch(
-        [a] {
-          const double* stage = a->ghost_stage.device_view().data();
-          double* prim = a->prim.device_view().data();
-          for (std::size_t f = 0; f < a->ghost.size(); ++f) {
-            mesh::unpack_box(prim, Physics::kNumPrim, a->shape.total[2],
-                             a->shape.total[1], a->shape.total[0], a->ghost[f],
-                             stage + a->ghost_off[f]);
-          }
-        },
-        a->ghost_len, compute_);
-    dev_.launch(
-        [this, a, b] {
-          core::rhs_batched_range<Physics>(
-              a->shape, ctx_, recon_fn_, a->prim.device_view().data(),
-              a->du.device_view().data(), a->scratch, static_cast<int>(b),
-              a->shape.begin, a->shape.end, /*zero_du=*/true);
-        },
-        a->cells, compute_);
-    dev_.launch(
-        [this, a, b, ca, cb, cdt, ps = &stats[b]] {
-          core::update_batched<Physics>(
-              a->shape, ctx_, ca, cb, cdt,
-              a->u0.device_view().data(), a->du.device_view().data(),
-              a->cons.device_view().data(), a->prim.device_view().data(), *ps,
-              static_cast<int>(b));
-        },
-        a->cells, compute_);
-  }
-}
-
-template <typename Physics>
-void DeviceExec<Physics>::post_step(double dt, double dx_min) {
-  for (auto& ap : arenas_) {
-    Arena* a = ap.get();
-    dev_.launch(
-        [this, a, dt, dx_min] {
+        [this, a, dt] {
           core::post_step_slabs<Physics>(
               a->shape, ctx_, a->cons.device_view().data(),
-              a->prim.device_view().data(), dt, dx_min);
+              a->prim.device_view().data(), dt, grid_->min_dx());
         },
         a->cells, compute_);
   }
+  // Bring the new interior rims down for the next exchange: packed on the
+  // compute stream after the update, downloaded on the transfer stream.
+  const device::Event packed = dev_.launch(
+      [a] {
+        a->pack(a->prim.device_view().data(), a->rim,
+                a->rim.dev.device_view().data());
+      },
+      a->rim.len, compute_);
+  dev_.wait_event(transfer_, packed);
+  dev_.download_async(a->rim.dev, a->rim.host, transfer_).wait();
+  a->unpack((*blocks_)[static_cast<std::size_t>(b)].prim().flat().data(),
+            a->rim, a->rim.host.data());
 }
 
 template <typename Physics>
@@ -284,11 +260,6 @@ void DeviceExec<Physics>::download_all() {
         dev_.download_async(arenas_[b]->prim, blk.prim().flat(), compute_));
   }
   for (const auto& e : done) e.wait();
-}
-
-template <typename Physics>
-void DeviceExec<Physics>::synchronize() {
-  dev_.synchronize();
 }
 
 template class DeviceExec<SrhdPhysics>;

@@ -316,15 +316,15 @@ void FvSolver<Physics>::update_block(int b, time::StageCoeffs coeffs,
 }
 
 // Restart / resume path: the same batched row-by-row c2p the RK update
-// runs (core::cons_to_prim_batched), not a second per-zone loop.
+// runs (core::cons_to_prim_batched), not a second per-zone loop. Its
+// counters (zones floored while restoring included) count like a step's.
 template <typename Physics>
 void FvSolver<Physics>::recover_all_prims() {
   for (int b = 0; b < num_blocks(); ++b) {
     auto& blk = blocks_[static_cast<std::size_t>(b)];
-    C2PStats ignored;
     core::cons_to_prim_batched<Physics>(
         core::shape_of(blk, grid_), opt_.physics, blk.cons().flat().data(),
-        blk.prim().flat().data(), ignored, b);
+        blk.prim().flat().data(), stats_, b);
   }
   fill_all_ghosts();
   if (device_) device_->invalidate();  // restart rewrote the host mirror
@@ -332,8 +332,7 @@ void FvSolver<Physics>::recover_all_prims() {
 
 template <typename Physics>
 double FvSolver<Physics>::compute_dt() const {
-  if (opt_.pipeline == HostPipeline::kDevice && device_ &&
-      device_->resident()) {
+  if (device_resident()) {
     // CFL scan on the device-resident state: same compiled core body, one
     // scalar download per block instead of a state round-trip.
     return opt_.cfl * grid_.min_dx() / device_->max_wave_speed();
@@ -350,28 +349,6 @@ double FvSolver<Physics>::compute_dt() const {
   return opt_.cfl * grid_.min_dx() / vmax;
 }
 
-// Device-offload step: establish residency (full upload, first step only),
-// then per RK stage let DeviceExec pull rims down, run the host ghost
-// logic, push ghosts back up, and chain the rhs/update kernels — all
-// enqueued, overlapping transfer with compute. One synchronize at the end
-// of the step makes the c2p stats final.
-template <typename Physics>
-void FvSolver<Physics>::step_device(double dt) {
-  if (!device_) {
-    device_ = std::make_unique<DeviceExec<Physics>>(
-        grid_, blocks_, opt_.physics, recon_fn_, opt_.accel);
-  }
-  device_->ensure_resident();
-  device_->save_state();
-  for (int s = 0; s < time::num_stages(opt_.integrator); ++s) {
-    const auto coeffs = time::stage_coeffs(opt_.integrator, s);
-    device_->stage(coeffs.a, coeffs.b, coeffs.c * dt,
-                   [this](int b) { exchange_block(b); }, block_stats_);
-  }
-  device_->post_step(dt, grid_.min_dx());
-  device_->synchronize();
-}
-
 template <typename Physics>
 bool FvSolver<Physics>::device_resident() const {
   return device_ && device_->resident();
@@ -379,21 +356,7 @@ bool FvSolver<Physics>::device_resident() const {
 
 template <typename Physics>
 void FvSolver<Physics>::sync_from_device() {
-  if (!device_resident()) return;
-  device_->synchronize();
-  device_->download_all();
-}
-
-template <typename Physics>
-void FvSolver<Physics>::set_pipeline(HostPipeline p) {
-  if (p == opt_.pipeline) return;
-  if (opt_.pipeline == HostPipeline::kDevice) {
-    // Hand authority back to the host mirror; the next kDevice step will
-    // re-upload (host steps in between mutate the mirror).
-    sync_from_device();
-    if (device_) device_->invalidate();
-  }
-  opt_.pipeline = p;
+  if (device_resident()) device_->download_all();
 }
 
 template <typename Physics>
@@ -401,12 +364,7 @@ void FvSolver<Physics>::step(double dt) {
   RSHC_OBS_PHASE("solver.step", "solver", -1);
   RSHC_OBS_COUNT("solver.steps", 1);
   const WallTimer t;
-  if (opt_.pipeline == HostPipeline::kDevice) {
-    step_device(dt);
-  } else {
-    current_dt_ = dt;
-    step_graph(1, Schedule::kDataflow).run_inline();
-  }
+  run_graph(1, dt, Schedule::kDataflow, nullptr);
   finish_steps(1, dt, t.seconds());
 }
 
@@ -414,15 +372,40 @@ template <typename Physics>
 void FvSolver<Physics>::run_steps(int nsteps, double dt,
                                   parallel::ThreadPool& pool,
                                   Schedule schedule) {
-  RSHC_REQUIRE(opt_.pipeline != HostPipeline::kDevice,
-               "host-parallel stepping does not drive the device pipeline; "
-               "use step() or set_pipeline() first");
   RSHC_TRACE_SCOPE("solver.run_steps", "solver", nsteps);
   RSHC_OBS_COUNT("solver.steps", nsteps);
   const WallTimer t;
-  current_dt_ = dt;
-  step_graph(nsteps, schedule).run(pool);
+  run_graph(nsteps, dt, schedule, &pool);
   finish_steps(nsteps, dt, t.seconds());
+}
+
+// Shared by both pipelines: on kDevice, establish residency (full upload,
+// first step only; the arenas are built on the first device step), then
+// run the step graph, whose node bodies drive the device per block.
+template <typename Physics>
+void FvSolver<Physics>::run_graph(int nsteps, double dt, Schedule schedule,
+                                  parallel::ThreadPool* pool) {
+  if (opt_.pipeline == HostPipeline::kDevice) {
+    if (!device_) {
+      device_ = std::make_unique<DeviceExec<Physics>>(
+          grid_, blocks_, opt_.physics, recon_fn_, opt_.accel);
+    }
+    device_->ensure_resident();
+  }
+  current_dt_ = dt;
+  parallel::TaskGraph& graph = step_graph(nsteps, schedule);
+  try {
+    if (pool != nullptr) {
+      graph.run(*pool);
+    } else {
+      graph.run_inline();
+    }
+  } catch (...) {
+    // A throwing E node stops the inline run after sibling E nodes may
+    // have queued their ghost uploads: leave nothing in flight.
+    if (device_) device_->synchronize();
+    throw;
+  }
 }
 
 template <typename Physics>
@@ -452,6 +435,7 @@ parallel::TaskGraph& FvSolver<Physics>::step_graph(int nsteps,
   graph_schedule_ = schedule;
   graph_overlap_ = overlap_active();
   const bool overlap = graph_overlap_;
+  const bool device = opt_.pipeline == HostPipeline::kDevice;
 
   using NodeId = parallel::TaskGraph::NodeId;
   const int nb = num_blocks();
@@ -501,8 +485,16 @@ parallel::TaskGraph& FvSolver<Physics>::step_graph(int nsteps,
       const bool step_end = (s == stages - 1);
       const auto coeffs = time::stage_coeffs(opt_.integrator, s);
       // E nodes: exchange+BC (K of self and neighbours wrote the prims
-      // this copies).
-      add_phase([&](int b) {
+      // this copies). On kDevice the exchange runs on the host mirror,
+      // whose rims those K nodes brought down, and the filled ghost shells
+      // go up.
+      add_phase([&](int b) -> std::function<void()> {
+        if (device) {
+          return [this, b] {
+            exchange_block(b);
+            device_->upload_ghosts(b);
+          };
+        }
         return [this, b, step_start, overlap] {
           if (step_start) {
             // Per-block save of the RK reference state.
@@ -523,8 +515,15 @@ parallel::TaskGraph& FvSolver<Physics>::step_graph(int nsteps,
         };
       });
       // K nodes: rhs+update+c2p (E of neighbours read this block's prims:
-      // anti-dependency).
-      add_phase([&](int b) {
+      // anti-dependency). On kDevice: the block's kernel chain (the RK
+      // save rides in its first stage), ending with its rims in the mirror.
+      add_phase([&](int b) -> std::function<void()> {
+        if (device) {
+          return [this, b, coeffs, step_start, step_end] {
+            device_->stage(b, coeffs, current_dt_, step_start, step_end,
+                           block_stats_[static_cast<std::size_t>(b)]);
+          };
+        }
         return [this, b, coeffs, step_end, overlap] {
           if (overlap) {
             compute_rhs_overlapped(b);

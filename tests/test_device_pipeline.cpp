@@ -6,9 +6,11 @@
 // rhs_core bodies the host pipeline calls. This suite pins that promise
 // across every
 // reconstruction scheme, Riemann solver, physics system, and
-// dimensionality, plus the restricted-block constructor, multi-step
-// residency (only halo-sized payloads may cross the boundary after step
-// 0, asserted via the obs byte counters), and mid-run pipeline switching.
+// dimensionality, plus the restricted-block constructor, run_steps on a
+// pool (the same step graph as step(), bitwise equal to host steps), and
+// multi-step residency (only halo-sized payloads may cross the boundary
+// after step 0, asserted via the obs byte counters, on step() and on
+// run_steps()).
 
 #include <gtest/gtest.h>
 
@@ -19,11 +21,13 @@
 #include <limits>
 #include <memory>
 #include <span>
+#include <string>
 #include <tuple>
 #include <vector>
 
 #include "rshc/mesh/halo.hpp"
 #include "rshc/obs/obs.hpp"
+#include "rshc/parallel/thread_pool.hpp"
 #include "rshc/problems/problems.hpp"
 #include "rshc/solver/fv_solver.hpp"
 #include "support/pencil_reference.hpp"
@@ -251,51 +255,93 @@ TEST(DevicePipeline, RestrictedBlockDeviceMatchesPencil) {
       0);
 }
 
-// Mid-run pipeline switching: device -> host hands authority back to the
-// host mirror (sync + residency drop), host -> device re-uploads. The
-// final state must still match a per-pencil oracle run bit for bit.
-TEST(DevicePipeline, MidRunPipelineSwitchStaysBitwise) {
-  const Case c = make_case(2);
-  solver::SrhdSolver::Options opt;
-  opt.recon = recon::Method::kPLMMC;
-  opt.cfl = 0.3;
-  opt.bc.type = {mesh::BcType::kOutflow, mesh::BcType::kPeriodic,
-                 mesh::BcType::kPeriodic};
-  opt.physics.riemann = riemann::Solver::kHLLC;
-  opt.blocks = c.blocks;
+/// The device pipeline under run_steps: the same step graph as step(),
+/// with its E and K nodes on pool workers submitting concurrently to one
+/// device. `nsteps` steps under `schedule`, then one sync_from_device(),
+/// must reproduce `nsteps` host-pipeline step() calls bit for bit, cons and
+/// prims of every block, with the same con2prim counters.
+template <typename Solver, typename Ic>
+void expect_pool_device_matches_host_steps(const mesh::Grid& g,
+                                           typename Solver::Options opt,
+                                           const Ic& ic,
+                                           solver::Schedule schedule) {
+  constexpr int kSteps = 3;
+  Solver host(g, opt);
+  host.initialize(ic);
+  const double dt = host.compute_dt();
+  for (int n = 0; n < kSteps; ++n) host.step(dt);
 
-  solver::SrhdSolver ref(c.grid, opt);
-  ref.initialize(srhd_ic);
-  testsupport::PencilReference pencil(ref);
   opt.pipeline = solver::HostPipeline::kDevice;
   opt.accel = zero_cost();
-  solver::SrhdSolver s(c.grid, opt);
-  s.initialize(srhd_ic);
+  Solver dev(g, opt);
+  dev.initialize(ic);
+  parallel::ThreadPool pool(3);
+  dev.run_steps(kSteps, dt, pool, schedule);
+  ASSERT_TRUE(dev.device_resident());
+  dev.sync_from_device();
 
-  const double dt = pencil.compute_dt();
-  for (int n = 0; n < 4; ++n) pencil.step(dt);
-
-  s.step(dt);
-  s.step(dt);
-  EXPECT_TRUE(s.device_resident());
-  // Leaving the device syncs the host mirror and drops residency.
-  s.set_pipeline(solver::HostPipeline::kBatchedSimd);
-  EXPECT_FALSE(s.device_resident());
-  s.step(dt);  // host step against the synced mirror
-  s.set_pipeline(solver::HostPipeline::kDevice);
-  s.step(dt);  // re-uploads, then steps on the device
-  EXPECT_TRUE(s.device_resident());
-  s.sync_from_device();
-
-  for (int b = 0; b < ref.num_blocks(); ++b) {
-    EXPECT_EQ(count_bit_diffs(ref.block(b).cons().flat(),
-                              s.block(b).cons().flat()),
-              0);
-    EXPECT_EQ(count_bit_diffs(ref.block(b).prim().flat(),
-                              s.block(b).prim().flat()),
-              0);
+  EXPECT_EQ(dev.steps_taken(), host.steps_taken());
+  EXPECT_EQ(dev.time(), host.time());
+  EXPECT_EQ(dev.c2p_stats().total_iterations,
+            host.c2p_stats().total_iterations);
+  EXPECT_EQ(dev.c2p_stats().floored_zones, host.c2p_stats().floored_zones);
+  ASSERT_EQ(dev.num_blocks(), host.num_blocks());
+  for (int b = 0; b < host.num_blocks(); ++b) {
+    for (const bool cons : {true, false}) {
+      const auto x = cons ? host.block(b).cons().flat()
+                          : host.block(b).prim().flat();
+      const auto y =
+          cons ? dev.block(b).cons().flat() : dev.block(b).prim().flat();
+      ASSERT_EQ(x.size(), y.size());
+      EXPECT_EQ(std::memcmp(x.data(), y.data(), x.size() * sizeof(double)), 0)
+          << "block " << b << (cons ? " cons" : " prim");
+    }
   }
 }
+
+/// (SRMHD with GLM cleaning?, run_steps schedule).
+using GraphCombo = std::tuple<bool, solver::Schedule>;
+
+class DevicePipelineRunSteps : public ::testing::TestWithParam<GraphCombo> {};
+
+TEST_P(DevicePipelineRunSteps, PoolGraphMatchesHostStepsBitwise) {
+  const auto [mhd, schedule] = GetParam();
+  const mesh::Grid g = mesh::Grid::make_2d(24, 16, 0.0, 1.0, 0.0, 1.0);
+  const mesh::BoundarySpec bc{{mesh::BcType::kOutflow, mesh::BcType::kPeriodic,
+                               mesh::BcType::kPeriodic}};
+  if (mhd) {
+    solver::SrmhdSolver::Options opt;
+    opt.recon = recon::Method::kPLMMC;
+    opt.cfl = 0.25;
+    opt.bc = bc;
+    opt.blocks = {2, 2, 1};
+    opt.physics.glm.enabled = true;
+    expect_pool_device_matches_host_steps<solver::SrmhdSolver>(g, opt,
+                                                               srmhd_ic,
+                                                               schedule);
+  } else {
+    solver::SrhdSolver::Options opt;
+    opt.recon = recon::Method::kPLMMC;
+    opt.cfl = 0.3;
+    opt.bc = bc;
+    opt.blocks = {2, 2, 1};
+    opt.physics.riemann = riemann::Solver::kHLLC;
+    expect_pool_device_matches_host_steps<solver::SrhdSolver>(g, opt, srhd_ic,
+                                                              schedule);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    SrhdAndSrmhd, DevicePipelineRunSteps,
+    ::testing::Combine(::testing::Bool(),
+                       ::testing::Values(solver::Schedule::kDataflow,
+                                         solver::Schedule::kBulkSync)),
+    [](const ::testing::TestParamInfo<GraphCombo>& info) {
+      return std::string(std::get<0>(info.param) ? "Srmhd" : "Srhd") +
+             (std::get<1>(info.param) == solver::Schedule::kBulkSync
+                  ? "BulkSync"
+                  : "Dataflow");
+    });
 
 // The modeled link sits on the device pipeline's critical path: the host
 // waits for every block's rim download each RK stage before it fills
@@ -451,8 +497,9 @@ std::int64_t ghost_bytes_per_stage(const Solver& s) {
 
 /// Multi-step residency accounting: after the step-0 full upload, a device
 /// step moves *exactly* nstages halo payloads in each direction — nothing
-/// else may cross the boundary. Pinned for both physics systems via the
-/// device's obs byte counters.
+/// else may cross the boundary, whether the step graph runs inline
+/// (step()) or on a pool (run_steps(), both schedules). Pinned for both
+/// physics systems via the device's obs byte counters.
 template <typename Solver, typename Ic>
 void expect_halo_only_traffic(const Ic& ic) {
   if (!obs::enabled()) GTEST_SKIP() << "obs disabled at runtime (RSHC_OBS=0)";
@@ -483,6 +530,19 @@ void expect_halo_only_traffic(const Ic& ic) {
         << "step " << n << " uploaded more than its ghost shells";
     EXPECT_EQ(d2h.total() - d2h0, stages * down_stage)
         << "step " << n << " downloaded more than its rims";
+  }
+  // The same graph on the pool moves the same bytes per step.
+  parallel::ThreadPool pool(3);
+  for (const auto schedule :
+       {solver::Schedule::kDataflow, solver::Schedule::kBulkSync}) {
+    const std::int64_t h2d0 = h2d.total();
+    const std::int64_t d2h0 = d2h.total();
+    s.run_steps(2, dt, pool, schedule);
+    const bool bulk = schedule == solver::Schedule::kBulkSync;
+    EXPECT_EQ(h2d.total() - h2d0, 2 * stages * up_stage)
+        << "run_steps uploaded more than its ghost shells, bulk-sync=" << bulk;
+    EXPECT_EQ(d2h.total() - d2h0, 2 * stages * down_stage)
+        << "run_steps downloaded more than its rims, bulk-sync=" << bulk;
   }
 }
 

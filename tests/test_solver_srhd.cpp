@@ -13,6 +13,7 @@
 #include "rshc/common/math.hpp"
 #include "rshc/analysis/norms.hpp"
 #include "rshc/common/error.hpp"
+#include "rshc/obs/obs.hpp"
 #include "rshc/parallel/thread_pool.hpp"
 #include "rshc/problems/problems.hpp"
 #include "rshc/solver/fv_solver.hpp"
@@ -279,51 +280,104 @@ TEST(SrhdSolverModes, MultiStepDataflowGraphMatchesStepwise) {
 TEST(SrhdSolver, RestrictedStepWithoutGhostFillerThrowsAndLeavesState) {
   // The per-rank view has no sibling blocks to copy ghosts from: stepping
   // it without a filler must fail in the first exchange, before the step
-  // touches cons, prims or the clock.
+  // touches cons, prims or the clock — on either pipeline. On kDevice the
+  // throwing E node has queued nothing (the kernels are its K node's), so
+  // no byte crosses the link and the device state, read back with
+  // sync_from_device(), is the pre-step state.
   const mesh::Grid g = mesh::Grid::make_2d(16, 8, 0.0, 1.0, 0.0, 0.5);
-  SrhdSolver s(g, periodic_opts(), mesh::BlockExtents{{0, 0, 0}, {16, 8, 1}});
-  s.set_ghost_filler([&s](int) {
-    auto& blk = s.block(0);
-    for (int axis = 0; axis < 2; ++axis) {
-      for (int side = 0; side < 2; ++side) {
-        mesh::apply_physical_boundary(
-            blk, axis, side, mesh::BcType::kOutflow,
-            solver::SrhdPhysics::reflect_negate_vars(axis));
+  auto fill = [](SrhdSolver& s) {
+    s.set_ghost_filler([&s](int) {
+      auto& blk = s.block(0);
+      for (int axis = 0; axis < 2; ++axis) {
+        for (int side = 0; side < 2; ++side) {
+          mesh::apply_physical_boundary(
+              blk, axis, side, mesh::BcType::kOutflow,
+              solver::SrhdPhysics::reflect_negate_vars(axis));
+        }
       }
-    }
-  });
-  s.initialize([](double x, double y, double) {
-    return srhd::Prim{1.0 + 0.3 * std::sin(2 * M_PI * (x + y)), 0.2, -0.1,
-                      0.0, 1.0};
-  });
-  s.step(0.005);
-  const double t0 = s.time();
-  const auto cons0 = s.block(0).cons().flat();
-  const auto prim0 = s.block(0).prim().flat();
-  const std::vector<double> cons(cons0.begin(), cons0.end());
-  const std::vector<double> prim(prim0.begin(), prim0.end());
-
-  s.set_ghost_filler({});
-  try {
+    });
+  };
+  std::vector<std::vector<double>> after_retry;
+  for (const auto pipeline :
+       {solver::HostPipeline::kBatchedSimd, solver::HostPipeline::kDevice}) {
+    SCOPED_TRACE(std::string(solver::host_pipeline_name(pipeline)));
+    auto opt = periodic_opts();
+    opt.pipeline = pipeline;
+    opt.accel = {0.0, 1e30, 0.0};  // zero-cost link
+    SrhdSolver s(g, opt, mesh::BlockExtents{{0, 0, 0}, {16, 8, 1}});
+    fill(s);
+    s.initialize([](double x, double y, double) {
+      return srhd::Prim{1.0 + 0.3 * std::sin(2 * M_PI * (x + y)), 0.2, -0.1,
+                        0.0, 1.0};
+    });
     s.step(0.005);
-    ADD_FAILURE() << "step() without a ghost filler did not throw";
-  } catch (const rshc::Error& e) {
-    EXPECT_NE(std::string(e.what()).find("needs set_ghost_filler"),
-              std::string::npos)
-        << e.what();
+    s.sync_from_device();
+    const double t0 = s.time();
+    const auto cons0 = s.block(0).cons().flat();
+    const auto prim0 = s.block(0).prim().flat();
+    const std::vector<double> cons(cons0.begin(), cons0.end());
+    const std::vector<double> prim(prim0.begin(), prim0.end());
+    auto& h2d = obs::Registry::global().counter("device.h2d.bytes");
+    auto& d2h = obs::Registry::global().counter("device.d2h.bytes");
+    const std::int64_t h2d0 = h2d.total();
+    const std::int64_t d2h0 = d2h.total();
+
+    s.set_ghost_filler({});
+    try {
+      s.step(0.005);
+      ADD_FAILURE() << "step() without a ghost filler did not throw";
+    } catch (const rshc::Error& e) {
+      EXPECT_NE(std::string(e.what()).find("needs set_ghost_filler"),
+                std::string::npos)
+          << e.what();
+    }
+    EXPECT_EQ(h2d.total(), h2d0) << "the failed step uploaded";
+    EXPECT_EQ(d2h.total(), d2h0) << "the failed step downloaded";
+    EXPECT_EQ(s.time(), t0);
+    EXPECT_EQ(s.steps_taken(), 1);
+    s.sync_from_device();
+    const auto cons1 = s.block(0).cons().flat();
+    const auto prim1 = s.block(0).prim().flat();
+    ASSERT_EQ(cons1.size(), cons.size());
+    ASSERT_EQ(prim1.size(), prim.size());
+    EXPECT_EQ(std::memcmp(cons1.data(), cons.data(),
+                          cons.size() * sizeof(double)),
+              0);
+    EXPECT_EQ(std::memcmp(prim1.data(), prim.data(),
+                          prim.size() * sizeof(double)),
+              0);
+
+    // With the filler back, stepping resumes as if the failure never was.
+    fill(s);
+    s.step(0.005);
+    s.sync_from_device();
+    const auto cons2 = s.block(0).cons().flat();
+    after_retry.emplace_back(cons2.begin(), cons2.end());
   }
-  EXPECT_EQ(s.time(), t0);
-  EXPECT_EQ(s.steps_taken(), 1);
-  const auto cons1 = s.block(0).cons().flat();
-  const auto prim1 = s.block(0).prim().flat();
-  ASSERT_EQ(cons1.size(), cons.size());
-  ASSERT_EQ(prim1.size(), prim.size());
-  EXPECT_EQ(std::memcmp(cons1.data(), cons.data(),
-                        cons.size() * sizeof(double)),
-            0);
-  EXPECT_EQ(std::memcmp(prim1.data(), prim.data(),
-                        prim.size() * sizeof(double)),
-            0);
+  ASSERT_EQ(after_retry.size(), 2u);
+  EXPECT_EQ(std::memcmp(after_retry[0].data(), after_retry[1].data(),
+                        after_retry[0].size() * sizeof(double)),
+            0)
+      << "the device retry diverged from the host retry";
+}
+
+// recover_all_prims (checkpoint restore, serve resume) runs the batched
+// con2prim; a zone it floors must reach c2p_stats() like one floored by a
+// step.
+TEST(SrhdSolver, RecoverAllPrimsCountsFlooredZones) {
+  const mesh::Grid g = mesh::Grid::make_2d(16, 8, 0.0, 1.0, 0.0, 0.5);
+  SrhdSolver s(g, periodic_opts());
+  s.initialize([](double x, double, double) {
+    return srhd::Prim{1.0 + 0.2 * std::sin(2 * M_PI * x), 0.1, 0.0, 0.0, 1.0};
+  });
+  ASSERT_EQ(s.c2p_stats().floored_zones, 0);
+  mesh::Block& blk = s.block(0);
+  const double floor = s.options().physics.c2p.rho_floor;
+  blk.cons()(srhd::kD, blk.begin(2), blk.begin(1) + 3, blk.begin(0) + 5) =
+      0.5 * floor;
+  s.recover_all_prims();
+  EXPECT_EQ(s.c2p_stats().floored_zones, 1);
+  EXPECT_GT(s.c2p_stats().total_iterations, 0);
 }
 
 TEST(SrhdSolver, TwoDimensionalConservation) {
