@@ -25,6 +25,11 @@ namespace rshc {
 [[nodiscard]] constexpr double min_of(double a, double b) {
   return b < a ? b : a;
 }
+/// std::clamp by value: libstdc++'s std::clamp(v, lo, hi) is
+/// std::min(std::max(v, lo), hi), NaN handling included.
+[[nodiscard]] constexpr double clamp_of(double v, double lo, double hi) {
+  return min_of(max_of(v, lo), hi);
+}
 
 /// std::isfinite as a plain comparison, so it vectorizes.
 [[nodiscard]] inline bool is_finite(double x) {

@@ -1,10 +1,12 @@
 #pragma once
 // Batched SoA face kernels: limiter + Riemann solve + flux for a whole row
 // of interfaces per call, consuming the reconstructed face-state rows the
-// batched host pipeline already holds in SoA layout. Compiled in
-// faces_simd.cpp (-O3 -march=native, fully inlined solver cores) with
-// -ffp-contract=off, so the kernels are bitwise identical to the
-// per-interface solve_srhd / solve_srmhd_hll path.
+// batched host pipeline already holds in SoA layout. Each is one
+// branch-free lane loop over the row, vectorized, compiled in
+// faces_simd.cpp (-O3 -march=native) with -ffp-contract=off. The
+// per-interface solve_srhd / solve_srmhd_hll run the same loop on a
+// one-interface row, so the two paths are bitwise identical by
+// construction.
 //
 // Row layout: `wl` / `wr` are arrays of per-variable pointers in PrimVar
 // order (left = right face of cell f, right = left face of cell f+1), `f`

@@ -5,8 +5,8 @@
 // solver: 64 zones run the 1D-W bracket expansion and Newton solve in
 // lockstep through the detail:: bodies the per-zone cons_to_prim
 // (con2prim.cpp) calls, so the two agree bit for bit, iteration and floor
-// counts included. The fast-speed bound stays a per-zone call into
-// state.cpp.
+// counts included. The fast-speed bound is a per-zone loop over the
+// header-inline max_signal_speed.
 
 #include <cstddef>
 

@@ -68,21 +68,28 @@ Cons exact_godunov(const Prim& wl, const Prim& wr, int axis,
 srhd::Cons solve_srhd(Solver s, const srhd::Prim& wl, const srhd::Prim& wr,
                       int axis, const eos::IdealGas& eos) {
   if (s == Solver::kExact) return exact_godunov(wl, wr, axis, eos);
-  const detail::SrhdSide l = detail::srhd_side(wl, axis, eos);
-  const detail::SrhdSide r = detail::srhd_side(wr, axis, eos);
-  switch (s) {
-    case Solver::kLLF: return detail::llf(l, r);
-    case Solver::kHLL: return detail::hll(l, r);
-    case Solver::kHLLC: return detail::hllc(l, r, axis);
-    case Solver::kExact: break;  // handled above
-  }
-  return detail::hll(l, r);  // unreachable
+  // A one-interface row through the lane kernel: one formulation of the
+  // approximate solvers, so this path and the batched rows agree bitwise.
+  const double* l[] = {&wl.rho, &wl.vx, &wl.vy, &wl.vz, &wl.p};
+  const double* r[] = {&wr.rho, &wr.vx, &wr.vy, &wr.vz, &wr.p};
+  Cons f;
+  double* out[] = {&f.d, &f.sx, &f.sy, &f.sz, &f.tau};
+  detail::srhd_faces_unlimited(1, axis, s, l, r, out, eos);
+  return f;
 }
 
 srmhd::Cons solve_srmhd_hll(const srmhd::Prim& wl, const srmhd::Prim& wr,
                             int axis, const eos::IdealGas& eos,
                             const srmhd::GlmParams& glm) {
-  return detail::srmhd_hll(wl, wr, axis, eos, glm);
+  const double* l[] = {&wl.rho, &wl.vx, &wl.vy, &wl.vz, &wl.p,
+                       &wl.bx,  &wl.by, &wl.bz, &wl.psi};
+  const double* r[] = {&wr.rho, &wr.vx, &wr.vy, &wr.vz, &wr.p,
+                       &wr.bx,  &wr.by, &wr.bz, &wr.psi};
+  srmhd::Cons f;
+  double* out[] = {&f.d,  &f.sx, &f.sy, &f.sz, &f.tau,
+                   &f.bx, &f.by, &f.bz, &f.psi};
+  detail::srmhd_faces_unlimited(1, axis, l, r, out, eos, glm);
+  return f;
 }
 
 }  // namespace rshc::riemann

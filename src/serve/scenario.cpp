@@ -68,9 +68,12 @@ class EngineImpl final : public ScenarioEngine {
   using Ic = std::function<typename Physics::Prim(double, double, double)>;
   using Options = typename solver::FvSolver<Physics>::Options;
 
+  EngineImpl(const mesh::Grid& grid, const Options& opt, Ic ic)
+      : ic_(std::move(ic)), solver_(grid, opt) {}
+  /// A shock-tube job keeps its tube for the validation error.
   EngineImpl(const mesh::Grid& grid, const Options& opt, Ic ic,
-             std::optional<problems::ShockTube> tube)
-      : ic_(std::move(ic)), tube_(std::move(tube)), solver_(grid, opt) {}
+             const problems::ShockTube& tube)
+      : ic_(std::move(ic)), tube_(tube), solver_(grid, opt) {}
 
   void initialize() override { solver_.initialize(ic_); }
 
@@ -142,12 +145,15 @@ std::unique_ptr<ScenarioEngine> make_srhd_engine(const JobSpec& spec,
     opt.physics.eos = eos::IdealGas{5.0 / 3.0};
     ic = problems::blast2d_ic(problems::Blast2d{});
   }
+  using Engine = EngineImpl<solver::SrhdPhysics>;
   if (tube) {
     opt.physics.eos = eos::IdealGas{tube->gamma};
     ic = problems::shock_tube_ic(*tube);
+    return std::make_unique<Engine>(make_grid(e, spec.resolution), opt,
+                                    std::move(ic), *tube);
   }
-  return std::make_unique<EngineImpl<solver::SrhdPhysics>>(
-      make_grid(e, spec.resolution), opt, std::move(ic), std::move(tube));
+  return std::make_unique<Engine>(make_grid(e, spec.resolution), opt,
+                                  std::move(ic));
 }
 
 std::unique_ptr<ScenarioEngine> make_srmhd_engine(const JobSpec& spec,
@@ -171,7 +177,7 @@ std::unique_ptr<ScenarioEngine> make_srmhd_engine(const JobSpec& spec,
     ic = problems::field_loop_ic(problems::FieldLoop{});
   }
   return std::make_unique<EngineImpl<solver::SrmhdPhysics>>(
-      make_grid(e, spec.resolution), opt, std::move(ic), std::nullopt);
+      make_grid(e, spec.resolution), opt, std::move(ic));
 }
 
 }  // namespace

@@ -8,7 +8,8 @@
 // header-inline srmhd::detail bodies (residual, bracket, converged state),
 // and the per-zone branches become selects here — so the outputs, the
 // iteration counts and the floor counts are bitwise those of the per-zone
-// loop. The fast-speed bound stays a per-zone call into state.cpp.
+// loop. The fast-speed bound is a per-zone loop over the header-inline
+// max_signal_speed.
 
 #include <algorithm>
 #include <cmath>

@@ -1,20 +1,24 @@
 #!/usr/bin/env python3
-"""Guard that the lane-wise con2prim passes stay vectorized (GCC only).
+"""Guard that the lane-wise kernels stay vectorized (GCC only).
 
 The batched con2prim kernels (src/srhd/kernels_simd.cpp with its
 kernels_impl.inc, src/srmhd/kernels_simd.cpp) solve a tile of zones in
-lockstep; their speed comes entirely from GCC vectorizing the per-tile
-passes. A one-line change (a by-reference std::max on a lane array, a bool
-lane array, a reduction folded into a pass) silently turns a pass back
-into a scalar loop while every bitwise test stays green. This check
-recompiles the two TUs with the build's own command line plus
--fopt-info-vec-optimized and fails unless every loop marked
+lockstep, and the face kernels (src/riemann/faces_simd.cpp) solve a row of
+interfaces as one branch-free lane loop; their speed comes entirely from
+GCC vectorizing those loops. A one-line change (a by-reference std::max on
+a lane array, a bool lane array, a reduction folded into a pass, a physics
+call left out of line) silently turns a loop back into a scalar one while
+every bitwise test stays green. This check recompiles the TUs with the
+build's own command line plus -fopt-info-vec-optimized-missed and fails
+unless every loop marked
 
     // rshc: must-vectorize
     for (...)
 
 in the TU or in a header it includes by a relative #include "..." is
-reported as "loop vectorized".
+reported as "loop vectorized", in every copy GCC made of it: a loop in a
+template is one source line with one copy per instantiation, and a single
+copy reported "couldn't vectorize loop" fails the check.
 
 Usage
 -----
@@ -25,9 +29,11 @@ Exit codes: 0 clean (or skipped: not GCC), 1 a marked loop did not
 vectorize, 2 usage or structural error (no compile database, TU missing,
 no marker found, compile failed).
 
-`selftest` recompiles a temporary copy of the SRHD kernel TU twice: as is
-(must pass) and with a seeded by-reference std::max regression in the
-Newton pass (must be caught, naming that loop).
+`selftest` recompiles a temporary copy of each seeded TU twice: as is
+(must pass) and with a seeded regression (must be caught, naming the
+loop the seed breaks). The seeds: a by-reference std::max in the SRHD
+Newton pass, and the SRMHD face row kernel without [[gnu::flatten]], which
+leaves the SRMHD physics maps out of line in the loop body.
 """
 
 from __future__ import annotations
@@ -43,17 +49,29 @@ import tempfile
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
-TUS = ("src/srhd/kernels_simd.cpp", "src/srmhd/kernels_simd.cpp")
+TUS = ("src/srhd/kernels_simd.cpp", "src/srmhd/kernels_simd.cpp",
+       "src/riemann/faces_simd.cpp")
 MARKER = "// rshc: must-vectorize"
 EXIT_OK, EXIT_MISSED, EXIT_USAGE = 0, 1, 2
 
-# Seeded regression for the selftest: the SRHD Newton pass's bracket update
-# rewritten with std::max by reference on the lane arrays (same values, but
-# GCC 12 no longer if-converts the pass).
-SEED_FILE = "kernels_impl.inc"
-SEED_FROM = "const double lo_n = above ? max_of(lo, p) : lo;"
-SEED_TO = ("const double& lo_n = above ? std::max(t.lo[l], t.p[l]) "
-           ": t.lo[l];")
+# Seeded regressions for the selftest: (TU, file to seed next to it, text,
+# replacement, where the loop it breaks sits relative to the seeded line).
+SEEDS = (
+    # The SRHD Newton pass's bracket update rewritten with std::max by
+    # reference on the lane arrays (same values, but GCC 12 no longer
+    # if-converts the pass).
+    ("src/srhd/kernels_simd.cpp", "kernels_impl.inc",
+     "const double lo_n = above ? max_of(lo, p) : lo;",
+     "const double& lo_n = above ? std::max(t.lo[l], t.p[l]) : t.lo[l];",
+     "above"),
+    # The SRMHD face row kernel without flatten: the SRMHD physics maps are
+    # too large for the inliner's heuristics, so they stay calls in the
+    # loop body.
+    ("src/riemann/faces_simd.cpp", "faces_simd.cpp",
+     "[[gnu::flatten, gnu::noinline]] void srmhd_row(",
+     "[[gnu::noinline]] void srmhd_row(",
+     "below"),
+)
 
 
 class Structural(Exception):
@@ -90,16 +108,21 @@ def is_gcc(compiler: str) -> bool:
         "Free Software Foundation" in out or "GCC" in out)
 
 
-def marked_loops(tu: Path) -> list[tuple[Path, int]]:
-    """(file, line) of the loop following each marker, in the TU and in
-    the files it includes by a relative #include "..."."""
+def local_files(tu: Path) -> list[Path]:
+    """The TU and the files it includes by a relative #include "..."."""
     files = [tu]
     for line in tu.read_text().splitlines():
         m = re.match(r'\s*#\s*include\s+"([^"]+)"', line)
         if m and (tu.parent / m.group(1)).is_file():
             files.append(tu.parent / m.group(1))
+    return files
+
+
+def marked_loops(tu: Path) -> list[tuple[Path, int]]:
+    """(file, line) of the loop following each marker, in the TU and in
+    the files it includes by a relative #include "..."."""
     loops = []
-    for f in files:
+    for f in local_files(tu):
         lines = f.read_text().splitlines()
         for i, line in enumerate(lines):
             if line.strip() != MARKER:
@@ -114,7 +137,10 @@ def marked_loops(tu: Path) -> list[tuple[Path, int]]:
     return loops
 
 
-def vectorized_lines(entry: dict, tu: Path) -> set[tuple[Path, int]]:
+def vectorizer_report(entry: dict, tu: Path
+                      ) -> tuple[set[tuple[Path, int]], set[tuple[Path, int]]]:
+    """(file, line) of the loops GCC vectorized, and of the loops it
+    reported it could not vectorize (any copy of them)."""
     argv = argv_of(entry)
     out_argv = []
     skip = False
@@ -129,30 +155,39 @@ def vectorized_lines(entry: dict, tu: Path) -> set[tuple[Path, int]]:
                 entry["directory"], entry["file"]).resolve():
             a = str(tu)
         out_argv.append(a)
-    out_argv += ["-o", "/dev/null", "-fopt-info-vec-optimized"]
+    out_argv += ["-o", "/dev/null", "-fopt-info-vec-optimized-missed"]
     p = subprocess.run(out_argv, cwd=entry["directory"], capture_output=True,
                        text=True, check=False)
     if p.returncode != 0:
         raise Structural(f"compiling {tu} failed:\n{p.stderr[-2000:]}")
-    found = set()
+    done, missed = set(), set()
     for line in p.stderr.splitlines():
-        m = re.match(r"(.+?):(\d+):\d+: optimized: loop vectorized", line)
+        m = re.match(r"(.+?):(\d+):\d+: (optimized: loop vectorized|"
+                     r"missed: couldn't vectorize loop)", line)
         if m:
-            found.add((Path(entry["directory"], m.group(1)).resolve(),
-                       int(m.group(2))))
-    return found
+            where = (Path(entry["directory"], m.group(1)).resolve(),
+                     int(m.group(2)))
+            (done if m.group(3).startswith("optimized") else missed).add(
+                where)
+    return done, missed
 
 
 def check_tu(entry: dict, tu: Path) -> list[str]:
     loops = marked_loops(tu)
     if not loops:
         raise Structural(f"{tu}: no '{MARKER}' loop (marker renamed?)")
-    done = vectorized_lines(entry, tu)
+    done, scalar = vectorizer_report(entry, tu)
     missed = []
     for f, line in loops:
-        status = "vectorized" if (f, line) in done else "NOT vectorized"
+        ok = (f, line) in done and (f, line) not in scalar
+        if ok:
+            status = "vectorized"
+        elif (f, line) in done:
+            status = "NOT vectorized (in some copies)"
+        else:
+            status = "NOT vectorized"
         print(f"  {f.name}:{line}: {status}")
-        if (f, line) not in done:
+        if not ok:
             missed.append(f"{f}:{line}")
     return missed
 
@@ -174,43 +209,57 @@ def validate(build_dir: Path) -> int:
     return EXIT_MISSED if missed else EXIT_OK
 
 
-def selftest(build_dir: Path) -> int:
-    db = load_db(build_dir)
-    tu = REPO / TUS[0]
+def selftest_seed(db: list[dict], rel: str, seed_file: str, text: str,
+                  seeded_text: str, where: str) -> bool:
+    tu = REPO / rel
     entry = entry_for(db, tu)
-    if not is_gcc(argv_of(entry)[0]):
-        print("check_vectorized selftest: not GCC; skipped")
-        return EXIT_OK
     with tempfile.TemporaryDirectory() as tmp:
+        for f in local_files(tu):
+            shutil.copy(f, Path(tmp) / f.name)
         copy = Path(tmp) / tu.name
-        shutil.copy(tu, copy)
-        shutil.copy(tu.parent / SEED_FILE, Path(tmp) / SEED_FILE)
-        print("clean copy:")
+        print(f"{rel}: clean copy:")
         if check_tu(entry, copy):
             print("selftest FAILED: the unmodified kernel does not pass",
                   file=sys.stderr)
-            return EXIT_MISSED
-        seeded = Path(tmp) / SEED_FILE
-        text = seeded.read_text()
-        if SEED_FROM not in text:
-            raise Structural(f"seed anchor not found in {SEED_FILE}: "
-                             f"{SEED_FROM!r}")
-        seeded.write_text(text.replace(SEED_FROM, SEED_TO))
-        print("seeded std::max-by-reference regression:")
+            return False
+        seeded = Path(tmp) / seed_file
+        body = seeded.read_text()
+        if text not in body:
+            raise Structural(f"seed anchor not found in {seed_file}: "
+                             f"{text!r}")
+        seeded.write_text(body.replace(text, seeded_text))
+        print(f"{rel}: seeded {seeded_text!r}:")
         missed = check_tu(entry, copy)
         anchor = next(i + 1 for i, line in
                       enumerate(seeded.read_text().splitlines())
-                      if SEED_TO in line)
-        # The regression sits inside the Newton pass: the nearest marked
-        # loop above the seeded line must be the one reported.
+                      if seeded_text in line)
+        # The loop the seed breaks: the nearest marked loop above (the seed
+        # sits inside it) or below (the seed is on its kernel) the seed.
         loops = [line for f, line in marked_loops(copy)
-                 if f == seeded.resolve() and line < anchor]
-        want = f"{seeded.resolve()}:{max(loops)}" if loops else None
+                 if f == seeded.resolve()]
+        near = ([max(x for x in loops if x < anchor)]
+                if where == "above" and any(x < anchor for x in loops) else
+                [min(x for x in loops if x > anchor)]
+                if where == "below" and any(x > anchor for x in loops) else
+                [])
+        want = f"{seeded.resolve()}:{near[0]}" if near else None
         if want is None or want not in missed:
             print("selftest FAILED: the seeded regression was not caught",
                   file=sys.stderr)
+            return False
+    return True
+
+
+def selftest(build_dir: Path) -> int:
+    db = load_db(build_dir)
+    if not is_gcc(argv_of(entry_for(db, REPO / TUS[0]))[0]):
+        print("check_vectorized selftest: not GCC; skipped")
+        return EXIT_OK
+    for seed in SEEDS:
+        if not selftest_seed(db, *seed):
             return EXIT_MISSED
-    print("selftest passed: clean kernel accepted, seeded regression caught")
+    print("selftest passed: clean kernels accepted, seeded regressions "
+          "caught")
     return EXIT_OK
 
 
