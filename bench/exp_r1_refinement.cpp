@@ -8,7 +8,7 @@
 // domain); conservation drift of the unrefluxed scheme stays at the
 // truncation level.
 
-#include "rshc/amr/two_level.hpp"
+#include "two_level.hpp"
 
 #include "exp_common.hpp"
 

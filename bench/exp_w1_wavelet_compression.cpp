@@ -10,7 +10,7 @@
 // error tracks the threshold.
 
 #include "exp_common.hpp"
-#include "rshc/wavelet/interp_wavelet.hpp"
+#include "interp_wavelet.hpp"
 
 int main() {
   using namespace rshc;

@@ -65,10 +65,6 @@ class ThreadPool {
   bool stopping_ RSHC_GUARDED_BY(mutex_) = false;
 };
 
-/// Process-wide default pool sized from hardware_concurrency(); created on
-/// first use. Harnesses that sweep worker counts construct their own pools.
-ThreadPool& default_pool();
-
 /// Worker-state introspection for the stall watchdog's per-thread dump
 /// (obs::telemetry), summed over every pool in the process. Deliberately
 /// obs-free so the hooks exist in all build configurations.

@@ -22,8 +22,6 @@ inline constexpr JobId kInvalidJob = 0;
 enum class PhysicsKind { kSrhd, kSrmhd };
 
 [[nodiscard]] std::string_view physics_name(PhysicsKind k);
-/// Parse "srhd" | "srmhd".
-[[nodiscard]] PhysicsKind parse_physics(std::string_view name);
 
 /// Scheduling class. Higher classes are dispatched first and may preempt
 /// a running lower-class job when no worker is idle (the victim is
@@ -59,9 +57,9 @@ struct JobSpec {
   /// When non-empty, write a checkpoint of the final state here — the
   /// job's result artifact (and the bitwise preempt/resume test hook).
   std::string result_checkpoint;
-  /// Artificial per-step delay. Test/chaos knob: makes short jobs
-  /// preemptible and stall-detectable at deterministic points. 0 in
-  /// production specs.
+  /// Artificial per-step delay, slept before each preemption check.
+  /// Test/chaos knob: makes short jobs preemptible and stall-detectable
+  /// at deterministic points. 0 in production specs.
   int step_delay_ms = 0;
 };
 

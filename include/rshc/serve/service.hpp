@@ -18,9 +18,9 @@
 //  - Isolation: with RSHC_OBS on, each job's solver metrics accumulate in
 //    a per-job obs::Registry (installed thread-locally while the job
 //    runs), and every lifecycle transition is journaled.
-//  - Stall monitoring is per job: a parallel::Monitor probe latches each
-//    job's step count (StallLatch) with only *running* jobs busy, so an
-//    idle queued job can neither fire nor mask a stall warning.
+//  - Stall monitoring is per job: a parallel::Monitor probe latches the
+//    step count (StallLatch) of *running* jobs only, and leaving the
+//    running set ends the episode, so queueing never fires or masks one.
 //
 // Configuration comes from ServiceConfig or the RSHC_SERVE_* environment
 // (see service_config_from_env and README "Simulation service").
@@ -116,6 +116,7 @@ class SimulationService {
   void worker_loop() RSHC_EXCLUDES(mutex_);
   void run_job(const JobPtr& job) RSHC_EXCLUDES(mutex_);
   void scan_stalls() RSHC_EXCLUDES(mutex_);
+  void leave_running(const JobPtr& job) RSHC_REQUIRES(mutex_);
   [[nodiscard]] JobStatus status_of(const Job& job) const
       RSHC_REQUIRES(mutex_);
 
@@ -130,7 +131,8 @@ class SimulationService {
   std::int64_t next_seq_ RSHC_GUARDED_BY(mutex_) = 0;
   bool stopping_ RSHC_GUARDED_BY(mutex_) = false;
   int idle_workers_ RSHC_GUARDED_BY(mutex_) = 0;
-  int running_ RSHC_GUARDED_BY(mutex_) = 0;
+  /// The victim and stall scans walk these, not the ever-growing jobs_.
+  std::vector<JobPtr> running_jobs_ RSHC_GUARDED_BY(mutex_);
   long long zones_admitted_ RSHC_GUARDED_BY(mutex_) = 0;
   std::int64_t submitted_ RSHC_GUARDED_BY(mutex_) = 0;
   std::int64_t admitted_ RSHC_GUARDED_BY(mutex_) = 0;

@@ -133,9 +133,4 @@ void ThreadPool::parallel_for(long long begin, long long end,
   if (shared->error) std::rethrow_exception(shared->error);
 }
 
-ThreadPool& default_pool() {
-  static ThreadPool pool(std::max(1u, std::thread::hardware_concurrency()));
-  return pool;
-}
-
 }  // namespace rshc::parallel

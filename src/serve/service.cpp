@@ -49,12 +49,6 @@ std::string_view physics_name(PhysicsKind k) {
   return k == PhysicsKind::kSrhd ? "srhd" : "srmhd";
 }
 
-PhysicsKind parse_physics(std::string_view name) {
-  if (name == "srhd") return PhysicsKind::kSrhd;
-  RSHC_REQUIRE(name == "srmhd", "unknown physics: " + std::string(name));
-  return PhysicsKind::kSrmhd;
-}
-
 std::string_view priority_name(Priority p) {
   switch (p) {
     case Priority::kBatch:
@@ -115,7 +109,7 @@ struct SimulationService::Job {
   int resumes = 0;
   int stalls = 0;
   bool has_checkpoint = false;  ///< eviction checkpoint awaits resume
-  parallel::StallLatch stall;   ///< fed steps_done by scan_stalls()
+  parallel::StallLatch stall;   ///< fed by scan_stalls(), leave_running()
   std::int64_t seq = 0;         ///< FIFO order within a priority class
   Clock::time_point submitted;
   double latency_ms = -1.0;
@@ -218,8 +212,7 @@ Admission SimulationService::submit(const JobSpec& spec) {
         // Saturated: pick the weakest running job strictly below the new
         // one's class (lowest class first, youngest within a class) and
         // mark it for preemption so this submission gets a worker.
-        for (auto& [jid, j] : jobs_) {
-          if (j->state != JobState::kRunning) continue;
+        for (const auto& j : running_jobs_) {
           if (j->preempt_requested.load(std::memory_order_relaxed)) continue;
           if (j->spec.priority >= spec.priority) continue;
           if (!victim || j->spec.priority < victim->spec.priority ||
@@ -281,7 +274,7 @@ void SimulationService::worker_loop() {
       job = *best;
       queue_.erase(best);
       job->state = JobState::kRunning;
-      ++running_;
+      running_jobs_.push_back(job);
     }
     run_job(job);
   }
@@ -332,14 +325,15 @@ void SimulationService::run_job(const JobPtr& job) {
       }
       while (job->steps_done.load(std::memory_order_relaxed) <
              job->spec.steps) {
+        // Delay first: a preempt requested during it lands before the step.
+        if (job->spec.step_delay_ms > 0) {
+          std::this_thread::sleep_for(
+              std::chrono::milliseconds(job->spec.step_delay_ms));
+        }
         if (job->preempt_requested.load(std::memory_order_relaxed)) {
           engine->checkpoint(job->ckpt_path);
           preempt_now = true;
           break;
-        }
-        if (job->spec.step_delay_ms > 0) {
-          std::this_thread::sleep_for(
-              std::chrono::milliseconds(job->spec.step_delay_ms));
         }
         engine->step();
         job->steps_done.fetch_add(1, std::memory_order_relaxed);
@@ -368,7 +362,7 @@ void SimulationService::run_job(const JobPtr& job) {
       job->seq = next_seq_++;  // back of its priority class
       ++job->preempts;
       ++preempted_;
-      --running_;
+      leave_running(job);
       queue_.push_back(job);
       steps_done = job->steps_done.load(std::memory_order_relaxed);
     }
@@ -383,7 +377,7 @@ void SimulationService::run_job(const JobPtr& job) {
   double latency_ms = 0.0;
   {
     LockGuard lock(mutex_);
-    --running_;
+    leave_running(job);
     job->l1_error = l1;
     latency_ms = Millis(Clock::now() - job->submitted).count();
     job->latency_ms = latency_ms;
@@ -412,6 +406,14 @@ void SimulationService::run_job(const JobPtr& job) {
   done_cv_.notify_all();
 }
 
+void SimulationService::leave_running(const JobPtr& job) {
+  std::erase(running_jobs_, job);
+  // End the stall episode as an idle observation does, so a resumed job
+  // does not count its time in the queue as quiet.
+  (void)job->stall.observe(job->steps_done.load(std::memory_order_relaxed),
+                           /*busy=*/false, Clock::now());
+}
+
 void SimulationService::scan_stalls() {
   struct Fired {
     JobId id = kInvalidJob;
@@ -422,16 +424,14 @@ void SimulationService::scan_stalls() {
   const auto now = Clock::now();
   {
     LockGuard lock(mutex_);
-    for (auto& [id, job] : jobs_) {
-      // Only a running job is busy: a queued job is idle by design and
-      // must neither fire a stall nor mask a later real one.
+    for (const auto& job : running_jobs_) {
       const auto quiet =
           job->stall.observe(job->steps_done.load(std::memory_order_relaxed),
-                             job->state == JobState::kRunning, now);
+                             /*busy=*/true, now);
       if (!quiet) continue;
       ++job->stalls;
       ++stalled_;
-      fired.push_back({id, job->spec.name, Millis(*quiet).count()});
+      fired.push_back({job->id, job->spec.name, Millis(*quiet).count()});
     }
   }
   for (const auto& f : fired) {
@@ -478,7 +478,7 @@ void SimulationService::wait_idle() {
   LockGuard lock(mutex_);
   done_cv_.wait(lock.native_lock(), [&] {
     mutex_.assert_held();
-    return queue_.empty() && running_ == 0;
+    return queue_.empty() && running_jobs_.empty();
   });
 }
 
@@ -511,7 +511,7 @@ ServiceStats SimulationService::stats() const {
   s.stalled = stalled_;
   s.zones_admitted = zones_admitted_;
   s.queued = static_cast<int>(queue_.size());
-  s.running = running_;
+  s.running = static_cast<int>(running_jobs_.size());
   return s;
 }
 

@@ -386,6 +386,45 @@ TEST(ServeStallMonitor, FlagsRunningJobButNotQueuedOne) {
   EXPECT_GE(svc.stats().stalled, slow_st.stalls);
 }
 
+// A job preempted into the queue for longer than the stall timeout must not
+// fire a stall when it resumes: leaving the running set ends its stall
+// episode. Its delay (slept before each preemption check) lets the monitor
+// latch the step count it is preempted at, which is still the count on
+// resume.
+TEST(ServeStallMonitor, ResumeAfterLongQueueWaitIsNotAStall) {
+  auto cfg = test_config("stall_resume");
+  cfg.workers = 1;
+  cfg.stall_timeout = 100ms;
+  serve::SimulationService svc(cfg);
+
+  serve::JobSpec batch;
+  batch.name = "evicted";
+  batch.problem = "sod";
+  batch.resolution = 32;
+  batch.steps = 6;
+  batch.step_delay_ms = 60;  // over two monitor periods, under the timeout
+  batch.priority = serve::Priority::kBatch;
+  const auto low = svc.submit(batch);
+  ASSERT_TRUE(low.admitted);
+  wait_for_progress(svc, low.id, 2);
+
+  // The urgent job holds the only worker for about 3x the stall timeout
+  // while the evicted job waits in the queue.
+  serve::JobSpec urgent = batch;
+  urgent.name = "urgent";
+  urgent.steps = 10;
+  urgent.step_delay_ms = 30;
+  urgent.priority = serve::Priority::kHigh;
+  const auto high = svc.submit(urgent);
+  ASSERT_TRUE(high.admitted);
+
+  EXPECT_EQ(svc.wait(high.id).state, serve::JobState::kCompleted);
+  const auto low_st = svc.wait(low.id);
+  ASSERT_EQ(low_st.state, serve::JobState::kCompleted) << low_st.message;
+  EXPECT_GE(low_st.preempts, 1);
+  EXPECT_EQ(low_st.stalls, 0);
+}
+
 #if RSHC_OBS_ENABLED
 
 std::size_t process_threads() {

@@ -1,6 +1,7 @@
 // Cross-cutting stress and edge coverage: heavy message traffic, device
-// stream churn, 3D decomposition, integrator conservation sweep, and the
-// wavelet 2D thresholding path that the core suites do not exercise.
+// stream churn, 3D decomposition, integrator conservation sweep, and
+// solver robustness edges (tiny steps) that the core suites do not
+// exercise.
 
 #include <gtest/gtest.h>
 
@@ -12,7 +13,6 @@
 #include "rshc/mesh/decomposition.hpp"
 #include "rshc/problems/problems.hpp"
 #include "rshc/solver/fv_solver.hpp"
-#include "rshc/wavelet/interp_wavelet.hpp"
 
 namespace {
 
@@ -104,34 +104,6 @@ INSTANTIATE_TEST_SUITE_P(Integrators, IntegratorConservation,
                          ::testing::Values(time::Integrator::kEuler,
                                            time::Integrator::kSspRk2,
                                            time::Integrator::kSspRk3));
-
-TEST(Stress, Wavelet2dThresholdCompressesSmoothField) {
-  const int levels = 5;
-  const std::size_t n = wavelet::grid_size(levels);
-  std::vector<double> v(n * n);
-  for (std::size_t j = 0; j < n; ++j) {
-    for (std::size_t i = 0; i < n; ++i) {
-      const double x = static_cast<double>(i) / static_cast<double>(n - 1);
-      const double y = static_cast<double>(j) / static_cast<double>(n - 1);
-      v[j * n + i] = std::sin(2.0 * x + y);
-    }
-  }
-  const auto original = v;
-  wavelet::forward_2d(v, n, n, levels);
-  // Threshold row-wise (the 2D coefficients live on the same lattice).
-  std::size_t zeroed = 0;
-  for (auto& c : v) {
-    if (std::abs(c) < 1e-6) {
-      c = 0.0;
-      ++zeroed;
-    }
-  }
-  EXPECT_GT(zeroed, v.size() / 3);
-  wavelet::inverse_2d(v, n, n, levels);
-  for (std::size_t i = 0; i < v.size(); ++i) {
-    EXPECT_NEAR(v[i], original[i], 1e-4) << i;
-  }
-}
 
 TEST(Stress, SolverSurvivesManyTinySteps) {
   // dt far below CFL must be harmless (robustness against driver bugs

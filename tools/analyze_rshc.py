@@ -119,14 +119,21 @@ def strip_comments(text: str) -> str:
     return "".join(out)
 
 
+# Library sources, plus the refinement miniapp (examples/refinement/),
+# which left the library but keeps its checks.
+LIBRARY_GLOBS = ("include/**/*.hpp", "src/**/*.hpp", "src/**/*.cpp",
+                 "examples/refinement/*.hpp", "examples/refinement/*.cpp")
+
+
 def module_of(rel: str) -> str:
-    """Module key for ordering/lock matching: include/rshc/X/... and
-    src/X/... both map to X; top-level files map to their stem."""
+    """Module key for ordering/lock matching: include/rshc/X/...,
+    src/X/... and examples/X/... all map to X; top-level files map to
+    their stem."""
     p = Path(rel)
     parts = p.parts
     if parts[:2] == ("include", "rshc"):
         rest = parts[2:]
-    elif parts[:1] == ("src",):
+    elif parts[:1] in (("src",), ("examples",)):
         rest = parts[1:]
     else:
         rest = parts
@@ -136,7 +143,7 @@ def module_of(rel: str) -> str:
 def library_files() -> dict[str, str]:
     """rel-path -> text for every library source/header."""
     files = {}
-    for glob in ("include/**/*.hpp", "src/**/*.hpp", "src/**/*.cpp"):
+    for glob in LIBRARY_GLOBS:
         for f in sorted(REPO.glob(glob)):
             files[str(f.relative_to(REPO))] = f.read_text(encoding="utf-8")
     return files
@@ -451,7 +458,8 @@ def check_ast_rules(build_dir: Path):
 
     violations = []
     try:
-        for src in sorted(REPO.glob("src/**/*.cpp")):
+        cpp_globs = [g for g in LIBRARY_GLOBS if g.endswith(".cpp")]
+        for src in sorted(f for g in cpp_globs for f in REPO.glob(g)):
             rel = str(src.relative_to(REPO))
             in_solver = rel.startswith("src/solver")
             in_obs = rel.startswith("src/obs")

@@ -51,7 +51,12 @@ REPO = Path(__file__).resolve().parent.parent
 
 CPP_GLOBS = ("include/**/*.hpp", "src/**/*.hpp", "src/**/*.cpp",
              "tests/**/*.cpp", "bench/**/*.cpp", "bench/**/*.hpp",
-             "examples/**/*.cpp")
+             "examples/**/*.cpp", "examples/**/*.hpp")
+
+# Code held to the library rules: the library itself and the refinement
+# miniapp, which left the library but keeps its checks. Tests are exempt.
+LIBRARY_DIRS = ("include/", "src/", "examples/refinement/")
+TEST_DIRS = ("tests/", "examples/refinement/tests/")
 
 SOLVER_DIRS = ("src/solver", "include/rshc/solver")
 
@@ -150,7 +155,7 @@ class Linter:
         in_block_comment = False
         in_solver = any(rel.startswith(d) for d in SOLVER_DIRS)
         in_obs = "/obs/" in rel or rel.startswith("src/obs")
-        in_tests = rel.startswith("tests/")
+        in_tests = rel.startswith(TEST_DIRS)
 
         for lineno, raw in enumerate(lines, start=1):
             line = raw
@@ -186,7 +191,7 @@ class Linter:
                             "raw new/delete in solver code; use containers "
                             "or std::make_unique")
 
-            in_library = rel.startswith("include/") or rel.startswith("src/")
+            in_library = rel.startswith(LIBRARY_DIRS) and not in_tests
             if in_library and atomic_object_decl(stripped):
                 context = lines[max(0, lineno - 4):lineno]
                 if not any(ORDERING_WORDS.search(c) for c in context):
@@ -267,6 +272,12 @@ SELFTEST_CASES = [
     ("tests/t.cpp",
      "std::atomic<int> hits;",
      None),  # tests are exempt from atomic-ordering
+    ("examples/refinement/a.hpp",
+     "std::atomic<int> hits;",
+     "atomic-ordering"),  # the refinement miniapp keeps the library rules
+    ("examples/refinement/tests/t.cpp",
+     "std::atomic<int> hits;",
+     None),  # ...and its tests keep the test exemption
     ("src/x/a.cpp",
      "std::map<double, int> by_time;",
      "float-keyed-map"),
