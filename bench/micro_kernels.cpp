@@ -146,17 +146,16 @@ void BM_Axpby(benchmark::State& state) {
 BENCHMARK(BM_Axpby);
 
 void BM_ReconstructRows(benchmark::State& state) {
-  // Batched plane entry point vs per-pencil dispatch: same kernels, the
-  // dispatch and span setup hoisted out of the per-pencil loop.
+  // One tile of PLM-MC rows through the batched entry point: one method
+  // switch per call, then the scheme's lane loop over every row.
   const std::size_t rows = 32;
   const std::size_t n = 256;
   const auto q = random_pencil(rows * n);
   std::vector<double> ql(rows * n);
   std::vector<double> qr(rows * n);
-  const recon::PencilKernel fn = recon::pencil_kernel(recon::Method::kPLMMC);
   for (auto _ : state) {
-    recon::reconstruct_rows(fn, rows, n, q.data(), n, ql.data(), qr.data(),
-                            n);
+    recon::reconstruct_rows(recon::Method::kPLMMC, rows, n, q.data(), n,
+                            ql.data(), qr.data(), n);
     benchmark::DoNotOptimize(ql.data());
     benchmark::DoNotOptimize(qr.data());
   }

@@ -36,10 +36,15 @@ namespace rshc {
   return std::abs(x) <= std::numeric_limits<double>::max();
 }
 
-/// minmod limiter of two arguments.
+// The limiters are by-value selects: both candidates are computed and the
+// test picks one, with the values of the early-return forms (NaN and -0.0
+// included), so the lane-wise reconstruction kernels vectorize them.
+
+/// minmod limiter of two arguments: 0 unless a and b share a sign, else
+/// the one of smaller magnitude (b on a tie).
 [[nodiscard]] constexpr double minmod(double a, double b) {
-  if (a * b <= 0.0) return 0.0;
-  return std::abs(a) < std::abs(b) ? a : b;
+  const double pick = std::abs(a) < std::abs(b) ? a : b;
+  return a * b <= 0.0 ? 0.0 : pick;
 }
 
 /// minmod limiter of three arguments.
@@ -52,11 +57,12 @@ namespace rshc {
   return minmod3(0.5 * (dqm + dqp), 2.0 * dqm, 2.0 * dqp);
 }
 
-/// van Leer (harmonic) limited slope from left/right differences.
+/// van Leer (harmonic) limited slope from left/right differences. The
+/// discarded harmonic mean may be 0/0 or inf; the select drops it.
 [[nodiscard]] inline double van_leer_slope(double dqm, double dqp) {
   const double prod = dqm * dqp;
-  if (prod <= 0.0) return 0.0;
-  return 2.0 * prod / (dqm + dqp);
+  const double harmonic = 2.0 * prod / (dqm + dqp);
+  return prod <= 0.0 ? 0.0 : harmonic;
 }
 
 /// Relative difference |a-b| / max(|a|,|b|,floor).

@@ -9,6 +9,7 @@
 // linear with minmod / MC / van Leer limiters, PPM (Colella & Woodward
 // 1984), and WENO5 (Jiang & Shu 1996).
 
+#include <cstddef>
 #include <span>
 #include <string_view>
 
@@ -37,27 +38,18 @@ enum class Method {
 
 /// Reconstruct one variable along a pencil. ql/qr must match q in size;
 /// entries are written for i in [stencil_radius, n - stencil_radius).
+/// Runs the scheme's row kernel on one row, so the results are bitwise
+/// those of reconstruct_rows.
 void reconstruct(Method m, std::span<const double> q, std::span<double> ql,
                  std::span<double> qr);
 
-/// Per-pencil kernel of one scheme, resolvable once per run so batched
-/// callers hoist the method dispatch out of their hot loops. The returned
-/// function is the exact same code `reconstruct` dispatches to, so results
-/// are bitwise identical to the span overload.
-using PencilKernel = void (*)(std::span<const double> q, std::span<double> ql,
-                              std::span<double> qr);
-[[nodiscard]] PencilKernel pencil_kernel(Method m);
-
 /// Reconstruct `nrows` independent pencils of length `n` in one call (one
-/// plane of a block). Pencil r reads q + r*qstride and writes
-/// ql/qr + r*face_stride; strides are in elements and rows may alias
-/// nothing. Dispatch is resolved once for the whole batch.
+/// tile of a block plane). Pencil r reads q + r*qstride and writes
+/// ql/qr + r*face_stride, entries [stencil_radius, n - stencil_radius)
+/// only; strides are in elements and rows may alias nothing. The method
+/// switch runs once per call; each scheme is one branch-free lane loop
+/// over the cells of a row.
 void reconstruct_rows(Method m, std::size_t nrows, std::size_t n,
-                      const double* q, std::size_t qstride, double* ql,
-                      double* qr, std::size_t face_stride);
-/// Same, with the scheme already resolved via pencil_kernel (callers that
-/// batch many planes hoist even the one switch per plane).
-void reconstruct_rows(PencilKernel fn, std::size_t nrows, std::size_t n,
                       const double* q, std::size_t qstride, double* ql,
                       double* qr, std::size_t face_stride);
 

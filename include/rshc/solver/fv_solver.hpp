@@ -256,7 +256,6 @@ class FvSolver {
   std::function<void(int)> ghost_filler_;
   std::function<void(int)> overlap_begin_;
   std::function<void(int, const FaceReadyFn&)> overlap_finish_;
-  recon::PencilKernel recon_fn_ = nullptr;  // opt_.recon, resolved once
   bool restricted_ = false;
   C2PStats stats_;
   double time_ = 0.0;

@@ -95,7 +95,7 @@ struct BatchScratch {
 template <typename Physics>
 void rhs_batched_range(const BlockShape& sh,
                        const typename Physics::Context& ctx,
-                       recon::PencilKernel recon_fn, const double* w,
+                       recon::Method recon, const double* w,
                        double* du, BatchScratch<Physics>& s, int block_id,
                        const std::array<int, 3>& lo,
                        const std::array<int, 3>& hi, bool zero_du);

@@ -1,7 +1,21 @@
-#include "rshc/recon/reconstruct.hpp"
+// Reconstruction row kernels, compiled -O3 (-march=native when enabled)
+// with -ffp-contract=off -fno-math-errno -fno-trapping-math.
+//
+// Each scheme is one branch-free lane loop over the cells of a row, run
+// row by row over a tile: the limiter or face formula inlines into the
+// loop body, and every branch of the per-pencil scheme is a select between
+// candidates that are all computed (the minmod sign test and magnitude
+// pick, van Leer's prod <= 0, PPM's neighbour clip, extremum flattening
+// and both overshoot corrections). A lane runs exactly the operation
+// sequence of the branchy scheme, in the same order, so it yields the same
+// bits: division is correctly rounded and -ffp-contract=off forbids fusing
+// mul+add. Discarded candidates may divide by zero; with
+// -fno-trapping-math that only produces values the select drops.
+// tools/check_vectorized.py guards the vectorization,
+// tests/test_recon_lanes.cpp the bits against the branchy oracle
+// (tests/support/recon_reference.hpp).
 
-#include <algorithm>
-#include <cmath>
+#include "rshc/recon/reconstruct.hpp"
 
 #include "rshc/common/error.hpp"
 #include "rshc/common/math.hpp"
@@ -9,62 +23,96 @@
 namespace rshc::recon {
 namespace {
 
-void pcm(std::span<const double> q, std::span<double> ql,
-         std::span<double> qr) {
-  const std::size_t n = q.size();
-  for (std::size_t i = 0; i < n; ++i) {
-    ql[i] = q[i];
-    qr[i] = q[i];
-  }
-}
+// The row kernels are the unit GCC vectorizes: flatten inlines the limiter
+// and face formulas into the loop body, noinline keeps each scheme a
+// function of its own. Row r reads q + r*qstride and writes
+// ql/qr + r*fstride; the rows are distinct arrays (ivdep).
 
-template <typename Limiter>
-void plm(std::span<const double> q, std::span<double> ql, std::span<double> qr,
-         Limiter limiter) {
-  const std::size_t n = q.size();
-  for (std::size_t i = 1; i + 1 < n; ++i) {
-    const double dqm = q[i] - q[i - 1];
-    const double dqp = q[i + 1] - q[i];
-    const double slope = limiter(dqm, dqp);
-    ql[i] = q[i] - 0.5 * slope;
-    qr[i] = q[i] + 0.5 * slope;
-  }
-}
-
-/// Colella & Woodward (1984) PPM with the original monotonization.
-void ppm(std::span<const double> q, std::span<double> ql,
-         std::span<double> qr) {
-  const std::size_t n = q.size();
-  if (n < 5) return;
-  // 4th-order face interpolant at i+1/2 (uses i-1..i+2).
-  auto face = [&](std::size_t i) {
-    return (7.0 / 12.0) * (q[i] + q[i + 1]) -
-           (1.0 / 12.0) * (q[i - 1] + q[i + 2]);
-  };
-  for (std::size_t i = 2; i + 2 < n; ++i) {
-    double qm = face(i - 1);  // value at i-1/2
-    double qp = face(i);      // value at i+1/2
-
-    // CW84 monotonization: clip face values into the neighbouring-cell
-    // range, then remove interior extrema.
-    qm = std::clamp(qm, std::min(q[i - 1], q[i]), std::max(q[i - 1], q[i]));
-    qp = std::clamp(qp, std::min(q[i], q[i + 1]), std::max(q[i], q[i + 1]));
-
-    if ((qp - q[i]) * (q[i] - qm) <= 0.0) {
-      // Cell is a local extremum: flatten.
-      qm = q[i];
-      qp = q[i];
-    } else {
-      const double dq = qp - qm;
-      const double q6 = 6.0 * (q[i] - 0.5 * (qm + qp));
-      if (dq * q6 > dq * dq) {
-        qm = 3.0 * q[i] - 2.0 * qp;
-      } else if (-dq * dq > dq * q6) {
-        qp = 3.0 * q[i] - 2.0 * qm;
-      }
+[[gnu::flatten, gnu::noinline]] void pcm_rows(std::size_t nrows,
+                                              std::size_t n, const double* q,
+                                              std::size_t qstride, double* ql,
+                                              double* qr,
+                                              std::size_t fstride) {
+  for (std::size_t r = 0; r < nrows; ++r) {
+    const double* s = q + r * qstride;
+    double* lo = ql + r * fstride;
+    double* hi = qr + r * fstride;
+#pragma GCC ivdep
+    // rshc: must-vectorize
+    for (std::size_t i = 0; i < n; ++i) {
+      lo[i] = s[i];
+      hi[i] = s[i];
     }
-    ql[i] = qm;
-    qr[i] = qp;
+  }
+}
+
+/// Piecewise linear with the limiter of M (minmod, MC or van Leer).
+template <Method M>
+[[gnu::flatten, gnu::noinline]] void plm_rows(std::size_t nrows,
+                                              std::size_t n, const double* q,
+                                              std::size_t qstride, double* ql,
+                                              double* qr,
+                                              std::size_t fstride) {
+  for (std::size_t r = 0; r < nrows; ++r) {
+    const double* s = q + r * qstride;
+    double* lo = ql + r * fstride;
+    double* hi = qr + r * fstride;
+#pragma GCC ivdep
+    // rshc: must-vectorize
+    for (std::size_t i = 1; i + 1 < n; ++i) {
+      const double dqm = s[i] - s[i - 1];
+      const double dqp = s[i + 1] - s[i];
+      double slope;
+      if constexpr (M == Method::kPLMMinmod) {
+        slope = rshc::minmod(dqm, dqp);
+      } else if constexpr (M == Method::kPLMMC) {
+        slope = rshc::mc_slope(dqm, dqp);
+      } else {
+        slope = rshc::van_leer_slope(dqm, dqp);
+      }
+      lo[i] = s[i] - 0.5 * slope;
+      hi[i] = s[i] + 0.5 * slope;
+    }
+  }
+}
+
+/// Colella & Woodward (1984) PPM with the original monotonization: the
+/// 4th-order face interpolants clipped into the neighbouring-cell range,
+/// flattened at a local extremum, else the overshooting face pulled in.
+[[gnu::flatten, gnu::noinline]] void ppm_rows(std::size_t nrows,
+                                              std::size_t n, const double* q,
+                                              std::size_t qstride, double* ql,
+                                              double* qr,
+                                              std::size_t fstride) {
+  for (std::size_t r = 0; r < nrows; ++r) {
+    const double* s = q + r * qstride;
+    double* lo = ql + r * fstride;
+    double* hi = qr + r * fstride;
+#pragma GCC ivdep
+    // rshc: must-vectorize
+    for (std::size_t i = 2; i + 2 < n; ++i) {
+      const double qm2 = s[i - 2];
+      const double qm1 = s[i - 1];
+      const double qi = s[i];
+      const double qp1 = s[i + 1];
+      const double qp2 = s[i + 2];
+      // Values at i-1/2 and i+1/2 (face f+1/2 uses cells f-1..f+2).
+      const double fm =
+          (7.0 / 12.0) * (qm1 + qi) - (1.0 / 12.0) * (qm2 + qp1);
+      const double fp =
+          (7.0 / 12.0) * (qi + qp1) - (1.0 / 12.0) * (qm1 + qp2);
+      const double qm = clamp_of(fm, min_of(qm1, qi), max_of(qm1, qi));
+      const double qp = clamp_of(fp, min_of(qi, qp1), max_of(qi, qp1));
+      const bool extremum = (qp - qi) * (qi - qm) <= 0.0;
+      const double dq = qp - qm;
+      const double q6 = 6.0 * (qi - 0.5 * (qm + qp));
+      // The scheme's `else if`: the two tests exclude each other
+      // (dq * dq >= 0), so both are plain selects.
+      const bool over_m = dq * q6 > dq * dq;
+      const bool over_p = -dq * dq > dq * q6;
+      lo[i] = extremum ? qi : (over_m ? 3.0 * qi - 2.0 * qp : qm);
+      hi[i] = extremum ? qi : (over_p ? 3.0 * qi - 2.0 * qm : qp);
+    }
   }
 }
 
@@ -90,36 +138,24 @@ double weno5_face(double qm2, double qm1, double q0, double qp1, double qp2) {
   return (a0 * f0 + a1 * f1 + a2 * f2) / (a0 + a1 + a2);
 }
 
-void weno5(std::span<const double> q, std::span<double> ql,
-           std::span<double> qr) {
-  const std::size_t n = q.size();
-  if (n < 5) return;
-  for (std::size_t i = 2; i + 2 < n; ++i) {
-    // Right face: upwind-biased from the left.
-    qr[i] = weno5_face(q[i - 2], q[i - 1], q[i], q[i + 1], q[i + 2]);
-    // Left face: mirror the stencil.
-    ql[i] = weno5_face(q[i + 2], q[i + 1], q[i], q[i - 1], q[i - 2]);
+[[gnu::flatten, gnu::noinline]] void weno5_rows(std::size_t nrows,
+                                                std::size_t n,
+                                                const double* q,
+                                                std::size_t qstride,
+                                                double* ql, double* qr,
+                                                std::size_t fstride) {
+  for (std::size_t r = 0; r < nrows; ++r) {
+    const double* s = q + r * qstride;
+    double* lo = ql + r * fstride;
+    double* hi = qr + r * fstride;
+#pragma GCC ivdep
+    // rshc: must-vectorize
+    for (std::size_t i = 2; i + 2 < n; ++i) {
+      // Right face upwind-biased from the left; left face mirrored.
+      hi[i] = weno5_face(s[i - 2], s[i - 1], s[i], s[i + 1], s[i + 2]);
+      lo[i] = weno5_face(s[i + 2], s[i + 1], s[i], s[i - 1], s[i - 2]);
+    }
   }
-}
-
-// Named wrappers for the PLM template instantiations so every scheme has a
-// PencilKernel-shaped function. Both reconstruct() and the batched rows
-// entry point route through these — one code path, bitwise-identical
-// results regardless of how a pencil reaches it.
-void plm_minmod(std::span<const double> q, std::span<double> ql,
-                std::span<double> qr) {
-  plm(q, ql, qr, [](double a, double b) { return rshc::minmod(a, b); });
-}
-
-void plm_mc(std::span<const double> q, std::span<double> ql,
-            std::span<double> qr) {
-  plm(q, ql, qr, [](double a, double b) { return rshc::mc_slope(a, b); });
-}
-
-void plm_van_leer(std::span<const double> q, std::span<double> ql,
-                  std::span<double> qr) {
-  plm(q, ql, qr,
-      [](double a, double b) { return rshc::van_leer_slope(a, b); });
 }
 
 }  // namespace
@@ -174,38 +210,37 @@ int formal_order(Method m) {
   return 1;
 }
 
-PencilKernel pencil_kernel(Method m) {
-  switch (m) {
-    case Method::kPCM: return &pcm;
-    case Method::kPLMMinmod: return &plm_minmod;
-    case Method::kPLMMC: return &plm_mc;
-    case Method::kPLMVanLeer: return &plm_van_leer;
-    case Method::kPPM: return &ppm;
-    case Method::kWENO5: return &weno5;
-  }
-  return &pcm;  // unreachable
-}
-
 void reconstruct(Method m, std::span<const double> q, std::span<double> ql,
                  std::span<double> qr) {
   RSHC_REQUIRE(ql.size() == q.size() && qr.size() == q.size(),
                "reconstruction output size mismatch");
-  pencil_kernel(m)(q, ql, qr);
+  const std::size_t n = q.size();
+  reconstruct_rows(m, 1, n, q.data(), n, ql.data(), qr.data(), n);
 }
 
 void reconstruct_rows(Method m, std::size_t nrows, std::size_t n,
                       const double* q, std::size_t qstride, double* ql,
                       double* qr, std::size_t face_stride) {
-  reconstruct_rows(pencil_kernel(m), nrows, n, q, qstride, ql, qr,
-                   face_stride);
-}
-
-void reconstruct_rows(PencilKernel fn, std::size_t nrows, std::size_t n,
-                      const double* q, std::size_t qstride, double* ql,
-                      double* qr, std::size_t face_stride) {
-  for (std::size_t r = 0; r < nrows; ++r) {
-    fn({q + r * qstride, n}, {ql + r * face_stride, n},
-       {qr + r * face_stride, n});
+  switch (m) {
+    case Method::kPCM:
+      pcm_rows(nrows, n, q, qstride, ql, qr, face_stride);
+      return;
+    case Method::kPLMMinmod:
+      plm_rows<Method::kPLMMinmod>(nrows, n, q, qstride, ql, qr, face_stride);
+      return;
+    case Method::kPLMMC:
+      plm_rows<Method::kPLMMC>(nrows, n, q, qstride, ql, qr, face_stride);
+      return;
+    case Method::kPLMVanLeer:
+      plm_rows<Method::kPLMVanLeer>(nrows, n, q, qstride, ql, qr,
+                                    face_stride);
+      return;
+    case Method::kPPM:
+      ppm_rows(nrows, n, q, qstride, ql, qr, face_stride);
+      return;
+    case Method::kWENO5:
+      weno5_rows(nrows, n, q, qstride, ql, qr, face_stride);
+      return;
   }
 }
 

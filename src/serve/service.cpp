@@ -353,7 +353,7 @@ void SimulationService::run_job(const JobPtr& job) {
   }
 
   if (preempt_now) {
-    int steps_done = 0;
+    [[maybe_unused]] int steps_done = 0;  // journal only
     {
       LockGuard lock(mutex_);
       job->preempt_requested.store(false, std::memory_order_relaxed);
@@ -531,7 +531,7 @@ void SimulationService::shutdown() {
   }
   work_cv_.notify_all();
   done_cv_.notify_all();
-  for (const auto& job : cancelled) {
+  for ([[maybe_unused]] const auto& job : cancelled) {
     RSHC_SERVE_JOURNAL("job_cancel", {Field("job", job->id)});
     RSHC_OBS_COUNT("serve.jobs.cancelled", 1);
   }

@@ -117,12 +117,12 @@ template <typename Physics>
 DeviceExec<Physics>::DeviceExec(const mesh::Grid& grid,
                                 std::vector<mesh::Block>& blocks,
                                 const Context& ctx,
-                                recon::PencilKernel recon_fn,
+                                recon::Method recon,
                                 device::AccelModel model)
     : grid_(&grid),
       blocks_(&blocks),
       ctx_(ctx),
-      recon_fn_(recon_fn),
+      recon_(recon),
       dev_(model),
       transfer_(dev_.create_stream()) {
   arenas_.reserve(blocks.size());
@@ -188,7 +188,7 @@ void DeviceExec<Physics>::stage(int b, time::StageCoeffs coeffs, double dt,
   dev_.launch(
       [this, a, b] {
         core::rhs_batched_range<Physics>(
-            a->shape, ctx_, recon_fn_, a->prim.device_view().data(),
+            a->shape, ctx_, recon_, a->prim.device_view().data(),
             a->du.device_view().data(), a->scratch, b, a->shape.begin,
             a->shape.end, /*zero_du=*/true);
       },

@@ -64,8 +64,7 @@ FvSolver<Physics>::FvSolver(const mesh::Grid& grid, Options opt)
     : grid_(grid),
       opt_(opt),
       ng_(recon::ghost_width(opt.recon)),
-      decomp_(grid_, opt.blocks),
-      recon_fn_(recon::pencil_kernel(opt.recon)) {
+      decomp_(grid_, opt.blocks) {
   for (int b = 0; b < decomp_.num_blocks(); ++b) add_block(decomp_.extents(b));
 }
 
@@ -76,7 +75,6 @@ FvSolver<Physics>::FvSolver(const mesh::Grid& grid, Options opt,
       opt_(opt),
       ng_(recon::ghost_width(opt.recon)),
       decomp_(grid_, {1, 1, 1}),
-      recon_fn_(recon::pencil_kernel(opt.recon)),
       restricted_(true) {
   add_block(sub);
 }
@@ -173,7 +171,7 @@ void FvSolver<Physics>::compute_rhs_range(int b, const std::array<int, 3>& lo,
                                           bool zero_du) {
   mesh::Block& blk = blocks_[static_cast<std::size_t>(b)];
   core::rhs_batched_range<Physics>(
-      core::shape_of(blk, grid_), opt_.physics, recon_fn_,
+      core::shape_of(blk, grid_), opt_.physics, opt_.recon,
       blk.prim().flat().data(), du_[static_cast<std::size_t>(b)].flat().data(),
       scratch_[static_cast<std::size_t>(b)]->batch, b, lo, hi, zero_du);
 }
@@ -388,7 +386,7 @@ void FvSolver<Physics>::run_graph(int nsteps, double dt, Schedule schedule,
   if (opt_.pipeline == HostPipeline::kDevice) {
     if (!device_) {
       device_ = std::make_unique<DeviceExec<Physics>>(
-          grid_, blocks_, opt_.physics, recon_fn_, opt_.accel);
+          grid_, blocks_, opt_.physics, opt_.recon, opt_.accel);
     }
     device_->ensure_resident();
   }

@@ -36,7 +36,7 @@ BlockShape shape_of(const mesh::Block& blk, const mesh::Grid& grid) {
 template <typename Physics>
 void rhs_batched_range(const BlockShape& sh,
                        const typename Physics::Context& ctx,
-                       recon::PencilKernel recon_fn, const double* w,
+                       recon::Method recon, const double* w,
                        double* du, BatchScratch<Physics>& s,
                        [[maybe_unused]] int block_id,
                        const std::array<int, 3>& lo,
@@ -95,14 +95,14 @@ void rhs_batched_range(const BlockShape& sh,
         const int rows = std::min(kTileRows, e1 - t10);
         const auto urows = static_cast<std::size_t>(rows);
 
-        // Gather + reconstruct one tile of pencils per variable, with the
-        // method dispatch already resolved to recon_fn. Faces land at
+        // Gather + reconstruct one tile of pencils per variable (one
+        // reconstruct_rows call, one row kernel per tile). Faces land at
         // their absolute pencil offsets (tile arrays keep stride un), so
         // the staging below indexes identically for any window.
         for (int v = 0; v < Physics::kNumPrim; ++v) {
           if (axis == 0) {
             const double* src = wvar(v) + sh.cell_index(t2, t10, ws);
-            recon::reconstruct_rows(recon_fn, urows, uwin, src, un,
+            recon::reconstruct_rows(recon, urows, uwin, src, un,
                                     s.tql[v].data() + uws,
                                     s.tqr[v].data() + uws, un);
           } else {
@@ -116,7 +116,7 @@ void rhs_batched_range(const BlockShape& sh,
                    static_cast<std::size_t>(f)] = src[t];
               }
             }
-            recon::reconstruct_rows(recon_fn, urows, uwin, tq + uws, un,
+            recon::reconstruct_rows(recon, urows, uwin, tq + uws, un,
                                     s.tql[v].data() + uws,
                                     s.tqr[v].data() + uws, un);
           }
@@ -335,11 +335,11 @@ void post_step_slabs<SrmhdPhysics>(const BlockShape& sh,
 }
 
 template void rhs_batched_range<SrhdPhysics>(
-    const BlockShape&, const SrhdPhysics::Context&, recon::PencilKernel,
+    const BlockShape&, const SrhdPhysics::Context&, recon::Method,
     const double*, double*, BatchScratch<SrhdPhysics>&, int,
     const std::array<int, 3>&, const std::array<int, 3>&, bool);
 template void rhs_batched_range<SrmhdPhysics>(
-    const BlockShape&, const SrmhdPhysics::Context&, recon::PencilKernel,
+    const BlockShape&, const SrmhdPhysics::Context&, recon::Method,
     const double*, double*, BatchScratch<SrmhdPhysics>&, int,
     const std::array<int, 3>&, const std::array<int, 3>&, bool);
 template void update_batched<SrhdPhysics>(const BlockShape&,

@@ -25,9 +25,10 @@
 #include <vector>
 
 #include "rshc/mesh/field_array.hpp"
-#include "rshc/recon/reconstruct.hpp"
 #include "rshc/solver/fv_solver.hpp"
 #include "rshc/time/integrator.hpp"
+
+#include "recon_reference.hpp"
 
 namespace rshc::testsupport {
 
@@ -159,8 +160,9 @@ class PencilReference {
               const auto c = local(f);
               q_[v][static_cast<std::size_t>(f)] = w(v, c[2], c[1], c[0]);
             }
-            recon::reconstruct(opt.recon, {q_[v].data(), un},
-                               {ql_[v].data(), un}, {qr_[v].data(), un});
+            recon_reference::reconstruct(opt.recon, {q_[v].data(), un},
+                                         {ql_[v].data(), un},
+                                         {qr_[v].data(), un});
           }
 
           // Interfaces f+1/2 for f in [begin-1, end-1]: the left state is

@@ -3,9 +3,10 @@
 
 The batched con2prim kernels (src/srhd/kernels_simd.cpp with its
 kernels_impl.inc, src/srmhd/kernels_simd.cpp) solve a tile of zones in
-lockstep, and the face kernels (src/riemann/faces_simd.cpp) solve a row of
-interfaces as one branch-free lane loop; their speed comes entirely from
-GCC vectorizing those loops. A one-line change (a by-reference std::max on
+lockstep, the face kernels (src/riemann/faces_simd.cpp) solve a row of
+interfaces and the reconstruction kernels (src/recon/reconstruct.cpp)
+reconstruct a row of cells as one branch-free lane loop; their speed comes
+entirely from GCC vectorizing those loops. A one-line change (a by-reference std::max on
 a lane array, a bool lane array, a reduction folded into a pass, a physics
 call left out of line) silently turns a loop back into a scalar one while
 every bitwise test stays green. This check recompiles the TUs with the
@@ -32,8 +33,9 @@ no marker found, compile failed).
 `selftest` recompiles a temporary copy of each seeded TU twice: as is
 (must pass) and with a seeded regression (must be caught, naming the
 loop the seed breaks). The seeds: a by-reference std::max in the SRHD
-Newton pass, and the SRMHD face row kernel without [[gnu::flatten]], which
-leaves the SRMHD physics maps out of line in the loop body.
+Newton pass, the SRMHD face row kernel without [[gnu::flatten]], which
+leaves the SRMHD physics maps out of line in the loop body, and a `&&` in
+the PPM row's overshoot test.
 """
 
 from __future__ import annotations
@@ -50,7 +52,7 @@ from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
 TUS = ("src/srhd/kernels_simd.cpp", "src/srmhd/kernels_simd.cpp",
-       "src/riemann/faces_simd.cpp")
+       "src/riemann/faces_simd.cpp", "src/recon/reconstruct.cpp")
 MARKER = "// rshc: must-vectorize"
 EXIT_OK, EXIT_MISSED, EXIT_USAGE = 0, 1, 2
 
@@ -71,6 +73,15 @@ SEEDS = (
      "[[gnu::flatten, gnu::noinline]] void srmhd_row(",
      "[[gnu::noinline]] void srmhd_row(",
      "below"),
+    # The PPM row's qp correction short-circuited on the qm one, as the
+    # scheme's `else if` reads (same values: the tests exclude each other).
+    # GCC 12 does not if-convert that `&&`, so the PPM row turns scalar.
+    # (An early-return minmod in the PLM row is no such seed: GCC
+    # if-converts it and the row stays vectorized.)
+    ("src/recon/reconstruct.cpp", "reconstruct.cpp",
+     "const bool over_p = -dq * dq > dq * q6;",
+     "const bool over_p = !over_m && -dq * dq > dq * q6;",
+     "above"),
 )
 
 
